@@ -185,7 +185,7 @@ class MgardCompressor:
         """A compressor built from the shared plan cache.
 
         Repeated calls with the same (shape, coords, tol, mode, backend)
-        reuse the cached hierarchy (Cholesky factors and all) and the
+        reuse the cached hierarchy (LDL^T factors and all) and the
         cached quantizer budget, so per-call setup is O(1).  ``executor``
         is the plan's executor spec (``"serial"``, ``"thread"``,
         ``"process"``, …).

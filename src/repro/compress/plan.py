@@ -5,7 +5,7 @@ The paper's GPU designs split every operation into a *compiled kernel*
 and a *launch* (the per-array work).  This module applies the same idiom
 to the compression pipeline: a :class:`RefactorPlan` pins the shared
 :class:`~repro.core.grid.TensorHierarchy` (interpolation weights, banded
-mass matrices, Cholesky factors) for one grid geometry, and a
+mass matrices, LDL^T factors) for one grid geometry, and a
 :class:`CompressionPlan` additionally pins the quantizer budgets and the
 entropy-stage configuration for one (geometry, tolerance, mode, backend)
 tuple.  Both are memoized, so streaming and multi-field workloads that

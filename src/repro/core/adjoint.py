@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classes import extract_classes
-from .coefficients import _coarse_open_mesh, prolong, zero_coarse_entries
+from .coefficients import prolong, zero_coarse_entries
 from .grid import TensorHierarchy
 from .mass import mass_apply
 from .solver import solve_correction
@@ -73,7 +73,7 @@ def recompose_adjoint(weights: np.ndarray, hier: TensorHierarchy) -> np.ndarray:
         return weights.copy()
     w = weights.copy()  # cotangent of the level-L nodal values
     for l in range(hier.L, 0, -1):
-        mesh = _coarse_open_mesh(hier, l)
+        mesh = hier.coarse_mesh(l)
         # adjoint of restore v_l = c_l + P(vc); coarse positions carry vc
         # exactly (no c contribution there)
         c_hat = w.copy()
@@ -88,9 +88,9 @@ def recompose_adjoint(weights: np.ndarray, hier: TensorHierarchy) -> np.ndarray:
         zero_coarse_entries(c_from_z, hier, l)  # forward zeroed coarse reads
         c_hat += c_from_z
         # scatter this level's coefficient sensitivities into the output
-        out[np.ix_(*hier.level_indices(l))] = c_hat
+        out[hier.level_mesh(l)] = c_hat
         w = vc_hat  # continue toward the coarser level
-    out[np.ix_(*hier.level_indices(0))] = w
+    out[hier.level_mesh(0)] = w
     return out
 
 

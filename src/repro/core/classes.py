@@ -22,13 +22,12 @@ progressive reconstruction.  Sizes in bytes drive the I/O models of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .decompose import recompose
 from .engine import Engine
-from .grid import TensorHierarchy
+from .grid import TensorHierarchy, take_copy
 
 __all__ = [
     "num_classes",
@@ -50,26 +49,10 @@ def detail_mask(hier: TensorHierarchy, l: int) -> np.ndarray:
     """Boolean mask over the packed level-``l`` grid, True at detail nodes.
 
     A node is a detail node of step ``l`` when at least one coarsening
-    dimension places it at an odd (dropped) position.
+    dimension places it at an odd (dropped) position.  The mask is
+    computed once per hierarchy and returned read-only.
     """
-    if not 1 <= l <= hier.L:
-        raise ValueError(f"detail masks exist for levels 1..{hier.L}, got {l}")
-    shape = hier.level_shape(l)
-    per_dim: list[np.ndarray] = []
-    for k, n in enumerate(shape):
-        coarse = np.ones(n, dtype=bool)
-        if hier.coarsens(l, k):
-            coarse[:] = False
-            coarse[hier.level_ops(l, k).coarse_pos] = True
-        per_dim.append(coarse)
-    # all-coarse = outer AND of the per-dimension coarse indicators
-    ndim = len(per_dim)
-    reshaped = [
-        v.reshape(tuple(-1 if i == k else 1 for i in range(ndim)))
-        for k, v in enumerate(per_dim)
-    ]
-    allcoarse = np.broadcast_to(reduce(np.logical_and, reshaped), shape)
-    return ~allcoarse
+    return hier.detail_mask(l)
 
 
 def class_sizes(hier: TensorHierarchy) -> list[int]:
@@ -87,10 +70,10 @@ def extract_classes(refactored: np.ndarray, hier: TensorHierarchy) -> list[np.nd
     :func:`assemble_from_classes` can invert the split exactly.
     """
     refactored = hier.validate_array(refactored)
-    out = [refactored[np.ix_(*hier.level_indices(0))].ravel().copy()]
+    out = [take_copy(refactored, hier.level_mesh(0)).ravel()]
     for l in range(1, hier.L + 1):
-        packed = refactored[np.ix_(*hier.level_indices(l))]
-        out.append(packed[detail_mask(hier, l)].copy())
+        # boolean indexing copies, so no class aliases ``refactored``
+        out.append(refactored[hier.level_mesh(l)][hier.detail_mask(l)])
     return out
 
 
@@ -121,13 +104,13 @@ def assemble_from_classes(
                 raise ValueError(
                     f"class {l} has {values.size} values, expected {sizes[l]}"
                 )
-            packed[detail_mask(hier, l)] = values
-        full[np.ix_(*hier.level_indices(l))] = packed
+            packed[hier.detail_mask(l)] = values
+        full[hier.level_mesh(l)] = packed
     if len(classes) >= 1 and classes[0] is not None:
         base = np.asarray(classes[0])
         if base.size != sizes[0]:
             raise ValueError(f"class 0 has {base.size} values, expected {sizes[0]}")
-        full[np.ix_(*hier.level_indices(0))] = base.reshape(hier.level_shape(0))
+        full[hier.level_mesh(0)] = base.reshape(hier.level_shape(0))
     return full
 
 

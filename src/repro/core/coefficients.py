@@ -46,19 +46,25 @@ def prolong(vc: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
     if vc.shape[-1] != ops.m_coarse:
         raise ValueError(f"axis length {vc.shape[-1]} does not match m_coarse={ops.m_coarse}")
     out = np.empty(vc.shape[:-1] + (ops.m_fine,), dtype=vc.dtype)
-    out[..., ops.coarse_pos] = vc
+    out[..., ops.coarse_sel] = vc
     if ops.m_detail:
         interp = ops.w_left * vc[..., :-1] + ops.w_right * vc[..., 1:]
-        out[..., ops.interval_detail[ops.has_detail]] = interp[..., ops.has_detail]
+        # detail node d sits in interval d // 2, so the intervals holding
+        # one are exactly the first m_detail
+        out[..., ops.detail_sel] = interp[..., : ops.m_detail]
     return np.moveaxis(out, -1, axis)
 
 
 def restrict_nodes(v: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
-    """Gather the coarse-node values (injection ``N_{l-1} ⊂ N_l``)."""
+    """Coarse-node values (injection ``N_{l-1} ⊂ N_l``).
+
+    A strided view of ``v`` when the coarse positions are arithmetic
+    (odd ``m_fine``), a gathered copy otherwise.
+    """
     v = np.moveaxis(v, axis, -1)
     if v.shape[-1] != ops.m_fine:
         raise ValueError(f"axis length {v.shape[-1]} does not match m_fine={ops.m_fine}")
-    return np.moveaxis(v[..., ops.coarse_pos], -1, axis)
+    return np.moveaxis(v[..., ops.coarse_sel], -1, axis)
 
 
 def _step_ops(hier: TensorHierarchy, l: int) -> list[tuple[int, LevelOps]]:
@@ -115,26 +121,11 @@ def restore_from_coefficients(
     # Re-inject the coarse values exactly: c may carry noise at coarse
     # positions (e.g. quantization artefacts) that must not leak into the
     # nodal values.
-    v[_coarse_open_mesh(hier, l)] = vc
+    v[hier.coarse_mesh(l)] = vc
     return v
-
-
-def _coarse_open_mesh(hier: TensorHierarchy, l: int) -> tuple[np.ndarray, ...]:
-    """Open-mesh (``np.ix_``) indexer selecting the coarse positions of level ``l``.
-
-    Non-coarsening dimensions contribute their full index range so the
-    selection always has the packed shape of level ``l - 1``.
-    """
-    per_dim = []
-    for k, n in enumerate(hier.level_shape(l)):
-        if hier.coarsens(l, k):
-            per_dim.append(hier.level_ops(l, k).coarse_pos)
-        else:
-            per_dim.append(np.arange(n, dtype=np.intp))
-    return np.ix_(*per_dim)
 
 
 def zero_coarse_entries(c: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
     """Zero the coarse-position entries of a level-``l`` array in place."""
-    c[_coarse_open_mesh(hier, l)] = 0.0
+    c[hier.coarse_mesh(l)] = 0.0
     return c

@@ -5,12 +5,14 @@ written once against this small interface and can then run on different
 *engines*:
 
 * :class:`NumpyEngine` — the pure vectorized host implementation (no
-  performance accounting); the correctness reference.
-* :class:`repro.kernels.cpu.CpuRefEngine` — same arithmetic, plus a cost
-  model of the serial CPU MGARD implementation (the paper's baseline).
-* :class:`repro.kernels.gpu_engine.GpuSimEngine` — kernels structured
-  after the paper's grid-/linear-processing GPU frameworks, executed
-  functionally and metered by the simulated-GPU cost model.
+  performance accounting); the production engine and the correctness
+  reference.
+* :class:`repro.kernels.metered.CpuRefEngine` — same arithmetic, plus a
+  cost model of the serial CPU MGARD implementation (the paper's
+  baseline).
+* :class:`repro.kernels.metered.GpuSimEngine` — same arithmetic, metered
+  by the simulated-GPU cost model of the paper's grid-/linear-processing
+  GPU frameworks.
 
 Every data-touching step of Algorithm 3 goes through an engine method so
 that engines can meter the memory-copy (``MC``) and node-packing (``PN``)
@@ -27,7 +29,7 @@ from . import coefficients as _coef
 from . import mass as _mass
 from . import solver as _solver
 from . import transfer as _transfer
-from .grid import LevelOps, TensorHierarchy
+from .grid import LevelOps, TensorHierarchy, take_copy
 
 __all__ = ["Engine", "NumpyEngine"]
 
@@ -89,19 +91,23 @@ class Engine(abc.ABC):
     def pack(
         self,
         full: np.ndarray,
-        level_indices: tuple[np.ndarray, ...],
+        level_mesh: tuple,
         *,
         reason: str = "pack",
         level: int = -1,
     ) -> np.ndarray:
-        """Gather the nodes of a level into a contiguous working array (``PN``)."""
+        """Gather the nodes of a level into a working array (``PN``).
+
+        ``level_mesh`` is :meth:`TensorHierarchy.level_mesh`; the result
+        never aliases ``full``.
+        """
 
     @abc.abstractmethod
     def unpack(
         self,
         packed: np.ndarray,
         full: np.ndarray,
-        level_indices: tuple[np.ndarray, ...],
+        level_mesh: tuple,
         *,
         reason: str = "unpack",
         level: int = -1,
@@ -152,8 +158,8 @@ class NumpyEngine(Engine):
     def copy(self, arr, *, reason="copy", level=-1):
         return arr.copy()
 
-    def pack(self, full, level_indices, *, reason="pack", level=-1):
-        return full[np.ix_(*level_indices)]
+    def pack(self, full, level_mesh, *, reason="pack", level=-1):
+        return take_copy(full, level_mesh)
 
-    def unpack(self, packed, full, level_indices, *, reason="unpack", level=-1):
-        full[np.ix_(*level_indices)] = packed
+    def unpack(self, packed, full, level_mesh, *, reason="unpack", level=-1):
+        full[level_mesh] = packed

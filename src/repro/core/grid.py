@@ -22,9 +22,10 @@ Two classes are exported:
 
 ``Hierarchy1D``
     The per-dimension hierarchy: level sizes, per-level index sets (as
-    indices into the finest array), per-level coordinates, and the
-    precomputed :class:`LevelOps` operator data (interpolation weights,
-    mass-matrix spacings, banded factorizations) used by every kernel.
+    indices into the finest array and as strided-view selectors),
+    per-level coordinates, and the precomputed :class:`LevelOps` operator
+    data (interpolation weights, mass-matrix spacings, tridiagonal
+    ``LDL^T`` factors) used by every kernel.
 
 ``TensorHierarchy``
     A d-dimensional bundle of ``Hierarchy1D`` with a single *global* level
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpttrf
 
 __all__ = [
     "LevelOps",
@@ -52,6 +53,7 @@ __all__ = [
     "clear_hierarchy_cache",
     "hierarchy_cache_stats",
     "num_levels_for_size",
+    "take_copy",
 ]
 
 
@@ -75,6 +77,51 @@ def num_levels_for_size(n: int) -> int:
         n = n // 2 + 1
         L += 1
     return L
+
+
+def _selector(idx: np.ndarray) -> slice | np.ndarray:
+    """The basic slice selecting ``idx``, or ``idx`` itself when it is not arithmetic.
+
+    Every level node set of a dyadic dimension, and the coarse and
+    per-interval detail positions of every odd-length level, are
+    arithmetic progressions: indexing with the slice is a strided view
+    instead of a gather.  The other sets (even level sizes of non-dyadic
+    dimensions) keep the exact index array.  Results are identical either
+    way; only the memory traffic differs.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.shape[0] == 0:
+        return slice(0, 0)
+    start = int(idx[0])
+    step = int(idx[1] - idx[0]) if idx.shape[0] > 1 else 1
+    if step > 0 and np.array_equal(idx, np.arange(start, int(idx[-1]) + 1, step)):
+        return slice(start, int(idx[-1]) + 1, step)
+    return idx
+
+
+def _outer_indexer(selectors, shape: tuple[int, ...]) -> tuple:
+    """Indexer for the outer product of per-axis :func:`_selector` values.
+
+    Slices give a strided view.  With one index array among them NumPy's
+    mixed indexing already selects the outer product in axis order; two
+    or more arrays need an ``np.ix_`` open mesh.
+    """
+    selectors = tuple(selectors)
+    if sum(not isinstance(s, slice) for s in selectors) < 2:
+        return selectors
+    return np.ix_(*(
+        np.arange(n, dtype=np.intp)[s] if isinstance(s, slice) else s
+        for s, n in zip(selectors, shape)
+    ))
+
+
+def take_copy(a: np.ndarray, index) -> np.ndarray:
+    """``a[index]`` as an array that never aliases ``a``.
+
+    A gather already returns a fresh array; a strided view is copied.
+    """
+    out = a[index]
+    return out.copy() if np.may_share_memory(out, a) else out
 
 
 @dataclass(frozen=True)
@@ -119,11 +166,19 @@ class LevelOps:
         Spacings of the coarse grid, shape ``(m_coarse - 1,)``.
     mass_bands_coarse:
         The coarse mass matrix in LAPACK upper-banded form (shape
-        ``(2, m_coarse)``) ready for ``scipy.linalg.cholesky_banded`` /
-        ``cho_solve_banded``.
-    chol_coarse:
-        Cholesky factor of ``mass_bands_coarse`` (upper banded form),
-        precomputed once because the matrix depends only on coordinates.
+        ``(2, m_coarse)``): row 0 the superdiagonal shifted right by one,
+        row 1 the main diagonal.
+    ldl_d / ldl_e:
+        ``LDL^T`` factor of the coarse mass matrix from LAPACK ``dpttrf``
+        (``D`` diagonal, shape ``(m_coarse,)``; unit-``L`` subdiagonal,
+        shape ``(m_coarse - 1,)``), the input of ``dpttrs`` in
+        :func:`repro.core.solver.solve_correction`.  Precomputed once
+        because the matrix depends only on coordinates.
+    coarse_sel / interval_sel / detail_sel:
+        :func:`_selector` forms of ``coarse_pos``, ``interval_detail`` and
+        ``detail_pos``: basic slices where the positions are arithmetic
+        (always for ``detail_pos``; for the other two when ``m_fine`` is
+        odd), the index arrays otherwise.
     """
 
     x_fine: np.ndarray
@@ -137,7 +192,11 @@ class LevelOps:
     h_fine: np.ndarray
     h_coarse: np.ndarray
     mass_bands_coarse: np.ndarray
-    chol_coarse: np.ndarray
+    ldl_d: np.ndarray
+    ldl_e: np.ndarray
+    coarse_sel: slice | np.ndarray
+    interval_sel: slice | np.ndarray
+    detail_sel: slice | np.ndarray
 
     @property
     def m_fine(self) -> int:
@@ -189,6 +248,17 @@ def _mass_bands(x: np.ndarray) -> np.ndarray:
     return bands
 
 
+def _ldl_factor(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``LDL^T`` factor ``(d, e)`` of an SPD tridiagonal matrix in upper banded form."""
+    d, e = bands[1].copy(), bands[0, 1:].copy()
+    if d.shape[0] == 1:
+        return d, e  # 1x1: D is the matrix itself
+    d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise ValueError(f"coarse mass matrix is not positive definite (dpttrf info={info})")
+    return d, e
+
+
 def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
     """Construct :class:`LevelOps` for one coarsening step of coordinates."""
     m_fine = x_fine.shape[0]
@@ -217,7 +287,7 @@ def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
         w_right[j] = (xd - xl) / denom
 
     bands = _mass_bands(x_coarse)
-    chol = cholesky_banded(bands, lower=False) if x_coarse.shape[0] > 1 else bands.copy()
+    ldl_d, ldl_e = _ldl_factor(bands)
     h_fine = np.diff(x_fine).astype(np.float64) if m_fine > 1 else np.zeros(0)
     h_coarse = np.diff(x_coarse).astype(np.float64) if x_coarse.shape[0] > 1 else np.zeros(0)
     return LevelOps(
@@ -232,7 +302,11 @@ def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
         h_fine=h_fine,
         h_coarse=h_coarse,
         mass_bands_coarse=bands,
-        chol_coarse=chol,
+        ldl_d=ldl_d,
+        ldl_e=ldl_e,
+        coarse_sel=_selector(coarse_pos),
+        interval_sel=_selector(interval_detail),
+        detail_sel=_selector(detail_pos),
     )
 
 
@@ -278,6 +352,7 @@ class Hierarchy1D:
         index.reverse()  # index[0] = coarsest, index[L] = finest
         ops.reverse()  # ops[l-1] describes the step from level l to l-1
         self._index = index
+        self._select = [_selector(idx) for idx in index]
         self._ops = ops
 
     # ------------------------------------------------------------------
@@ -288,6 +363,11 @@ class Hierarchy1D:
     def index(self, l: int) -> np.ndarray:
         """Finest-grid indices of the level-``l`` node set ``N_l``."""
         return self._index[self._check_level(l)]
+
+    def select(self, l: int) -> slice | np.ndarray:
+        """:meth:`index` as a basic slice when it is arithmetic (always for
+        dyadic sizes), else the index array itself."""
+        return self._select[self._check_level(l)]
 
     def level_coords(self, l: int) -> np.ndarray:
         """Coordinates of the level-``l`` nodes."""
@@ -321,6 +401,27 @@ class TensorHierarchy:
 
     dims: tuple[Hierarchy1D, ...]
     _shape_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        # Indexers of every level, fixed by the geometry: strided views
+        # where the index sets are arithmetic, exact gathers elsewhere.
+        self._level_meshes = tuple(
+            _outer_indexer(
+                (d.select(self.dim_level(l, k)) for k, d in enumerate(self.dims)), self.shape
+            )
+            for l in range(self.L + 1)
+        )
+        self._coarse_meshes = (None,) + tuple(
+            _outer_indexer(
+                (
+                    self.level_ops(l, k).coarse_sel if self.coarsens(l, k) else slice(None)
+                    for k in range(self.ndim)
+                ),
+                self.level_shape(l),
+            )
+            for l in range(1, self.L + 1)
+        )
+        self._detail_masks: dict[int, np.ndarray] = {}
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -384,6 +485,40 @@ class TensorHierarchy:
         """Finest-grid index arrays (one per dim) of the level-``l`` node set."""
         return tuple(d.index(self.dim_level(l, k)) for k, d in enumerate(self.dims))
 
+    def level_mesh(self, l: int) -> tuple:
+        """Indexer of the level-``l`` node set inside the finest grid.
+
+        ``full[hier.level_mesh(l)]`` equals ``full[np.ix_(*hier.level_indices(l))]``;
+        it is a strided view when every dimension's set is arithmetic.
+        """
+        if not 0 <= l <= self.L:
+            raise ValueError(f"global level must be in [0, {self.L}], got {l}")
+        return self._level_meshes[l]
+
+    def coarse_mesh(self, l: int) -> tuple:
+        """Indexer of the level-``l-1`` nodes inside the packed level-``l`` grid.
+
+        Dimensions that do not coarsen at step ``l`` are taken whole, so
+        the selection always has the packed shape of level ``l - 1``.
+        """
+        if not 1 <= l <= self.L:
+            raise ValueError(f"coarse meshes exist for levels 1..{self.L}, got {l}")
+        return self._coarse_meshes[l]
+
+    def detail_mask(self, l: int) -> np.ndarray:
+        """Read-only boolean mask over the packed level-``l`` grid, True at
+        detail nodes (see :func:`repro.core.classes.detail_mask`); built on
+        first use."""
+        if not 1 <= l <= self.L:
+            raise ValueError(f"detail masks exist for levels 1..{self.L}, got {l}")
+        mask = self._detail_masks.get(l)
+        if mask is None:
+            mask = np.ones(self.level_shape(l), dtype=bool)
+            mask[self.coarse_mesh(l)] = False
+            mask.flags.writeable = False
+            self._detail_masks[l] = mask
+        return mask
+
     def level_ops(self, l: int, k: int) -> LevelOps:
         """Operator data for dimension ``k`` at the step ``l -> l-1``.
 
@@ -441,7 +576,7 @@ class TensorHierarchy:
 # shared hierarchy cache
 #
 # Building a TensorHierarchy precomputes every level's interpolation
-# weights, banded mass matrices, and Cholesky factors — work that
+# weights, banded mass matrices, and LDL^T factors — work that
 # depends only on (shape, coordinates).  Streaming and multi-field
 # workloads compress thousands of same-shape arrays, so the hierarchy is
 # memoized here and shared by Refactorer, the compression plans, and the

@@ -6,13 +6,16 @@ The paper solves with a Thomas-style forward/backward substitution; we
 provide
 
 ``solve_correction``
-    Batched solve along an arbitrary axis using a precomputed banded
-    Cholesky factorization (LAPACK ``pbtrs`` via SciPy), the fast path.
+    Batched solve along an arbitrary axis with LAPACK ``dpttrs`` (via
+    SciPy) on the precomputed ``dpttrf`` factor ``LDL^T`` of
+    :class:`~repro.core.grid.LevelOps`, the production path.  ``dpttrs``
+    sweeps every right-hand side in one Fortran loop, with no BLAS call
+    per column.
 
 ``thomas_solve``
     A literal Thomas-algorithm implementation used by the simulated-GPU
     linear-processing kernels and as an independent cross-check of the
-    SciPy path.  It mirrors the sequential data dependence the paper's
+    LAPACK path.  It mirrors the sequential data dependence the paper's
     kernel must respect and the ``O(m)`` extra diagonal buffer the paper
     reports as its only extra memory footprint.
 """
@@ -20,7 +23,7 @@ provide
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpttrs
 
 from .grid import LevelOps
 
@@ -28,18 +31,29 @@ __all__ = ["solve_correction", "thomas_solve", "thomas_factor"]
 
 
 def solve_correction(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
-    """Solve ``M_{l-1} z = f`` along ``axis`` (batched over other axes)."""
+    """Solve ``M_{l-1} z = f`` along ``axis`` (batched over other axes).
+
+    Never modifies ``f``.  Raises ``ValueError`` when ``f`` holds infs or
+    NaNs: corrupt input fails fast instead of poisoning a refactoring.
+    """
     f = np.moveaxis(f, axis, -1)
     m = f.shape[-1]
     if m != ops.m_coarse:
         raise ValueError(f"axis length {m} does not match m_coarse={ops.m_coarse}")
+    if not np.isfinite(f).all():
+        raise ValueError("array must not contain infs or NaNs")
     if m == 1:
-        return np.moveaxis(f / ops.mass_bands_coarse[1, 0], -1, axis)
-    batch_shape = f.shape[:-1]
-    rhs = f.reshape(-1, m).T  # (m, nrhs) as LAPACK expects
-    z = cho_solve_banded((ops.chol_coarse, False), np.ascontiguousarray(rhs))
-    z = z.T.reshape(*batch_shape, m)
-    return np.moveaxis(z, -1, axis)
+        return np.moveaxis(f / ops.ldl_d[0], -1, axis)
+    if f.flags.c_contiguous:
+        # Axis last: the (m, nrhs) transpose is an F-contiguous view of
+        # the caller's array, which dpttrs copies before solving.
+        rhs, owned = f.reshape(-1, m).T, False
+    else:
+        rhs, owned = np.ascontiguousarray(f).reshape(-1, m).T, True
+    z, info = dpttrs(ops.ldl_d, ops.ldl_e, rhs, overwrite_b=owned)
+    if info != 0:
+        raise ValueError(f"dpttrs failed with info={info}")
+    return np.moveaxis(z.T.reshape(f.shape), -1, axis)
 
 
 def thomas_factor(ops: LevelOps) -> tuple[np.ndarray, np.ndarray]:

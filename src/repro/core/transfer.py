@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import LevelOps
+from .grid import LevelOps, take_copy
 
 __all__ = ["transfer_apply", "dense_transfer_matrix"]
 
@@ -45,11 +45,11 @@ def transfer_apply(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
     f = np.moveaxis(f, axis, -1)
     if f.shape[-1] != ops.m_fine:
         raise ValueError(f"axis length {f.shape[-1]} does not match m_fine={ops.m_fine}")
-    out = f[..., ops.coarse_pos].copy()
+    out = take_copy(f, (..., ops.coarse_sel))
     if ops.m_detail:
-        # Gather detail contributions per interval; intervals without a
-        # detail node have zero weights so the clipped gather is harmless.
-        detail_vals = f[..., ops.interval_detail]
+        # Detail contributions per interval; intervals without a detail
+        # node have zero weights so the clipped gather is harmless.
+        detail_vals = f[..., ops.interval_sel]
         out[..., :-1] += ops.w_left * detail_vals
         out[..., 1:] += ops.w_right * detail_vals
     return np.moveaxis(out, -1, axis)

@@ -43,7 +43,7 @@ class TestNumericalExtremes:
         assert np.abs(rt - data).max() < 1e-3  # ~1e-15 of the 1e12 scale
 
     def test_nan_rejected_loudly(self):
-        # the banded Cholesky solver refuses NaNs: corrupt input fails
+        # the correction solver refuses NaNs: corrupt input fails
         # fast instead of silently producing a poisoned refactoring
         h = TensorHierarchy.from_shape((9,))
         data = np.zeros(9)
