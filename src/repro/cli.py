@@ -199,8 +199,6 @@ def _parallel() -> str:
     from repro.compress.executor import available_workers, get_executor
     from repro.compress.lossless import decode_classes, encode_classes
     from repro.compress.mgard import MgardCompressor
-    from repro.compress.timeseries import TimeSeriesCompressor
-    from repro.core.grid import hierarchy_for
     from repro.core.refactor import Refactorer
     from repro.workloads.grayscott import simulate
 
@@ -222,31 +220,12 @@ def _parallel() -> str:
     assert p_s == p_p and h_s == h_p, "parallel encode must be bit-identical"
     flat, _ = decode_classes(p_p, h_p, executor=par)
     assert np.array_equal(flat, bins)
-
-    drift = np.roll(data, 1, axis=0) * 0.01  # slowly-varying additive drift
-    frames = [data + t * drift for t in range(8)]
-    hier = hierarchy_for(shape)
-    t0 = time.perf_counter()
-    reused = TimeSeriesCompressor(
-        hier, tol, backend="huffman", reuse_codebooks=True
-    ).compress(frames)
-    t_reuse = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rebuilt = TimeSeriesCompressor(
-        hier, tol, backend="huffman", reuse_codebooks=False
-    ).compress(frames)
-    t_cold = time.perf_counter() - t0
     return "\n".join(
         [
             f"parallel encode executor on {side}^3 ({available_workers()} workers, "
             f"{len(sizes)} class segments):",
             f"  serial   encode {t_s * 1e3:8.1f} ms",
             f"  parallel encode {t_p * 1e3:8.1f} ms   ({t_s / t_p:4.2f}x, bit-identical)",
-            f"code-book reuse over {len(frames)} slowly-varying steps:",
-            f"  per-step rebuild {t_cold * 1e3:8.1f} ms   {rebuilt.nbytes:9d} bytes",
-            f"  reused books     {t_reuse * 1e3:8.1f} ms   {reused.nbytes:9d} bytes"
-            f"   ({t_cold / t_reuse:4.2f}x faster, "
-            f"{(1 - reused.nbytes / rebuilt.nbytes) * 100:4.1f}% smaller)",
         ]
     )
 
@@ -316,7 +295,7 @@ EXPERIMENTS = {
     "fig11": (_fig11, "MGARD compression stage breakdown"),
     "offload": (_offload, "CPU-app offload break-even analysis (paper §I)"),
     "entropy": (_entropy, "entropy-stage fast path vs scalar reference"),
-    "parallel": (_parallel, "parallel class encoding + cross-step code-book reuse"),
+    "parallel": (_parallel, "parallel class encoding, serial vs thread pool"),
     "chaos": (
         _chaos,
         "fault-injection chaos matrix: writer-crash recovery rate, "

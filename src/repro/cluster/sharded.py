@@ -27,7 +27,7 @@ backends of :mod:`repro.parallel`:
 
 All three backends emit **byte-identical** shard containers: a shard's
 bytes depend only on (shard data, tolerance, mode, backend), never on
-the scheduler — shards share no code-book chain and no temporal state.
+the scheduler — shards share no temporal state.
 
 Error-bound accounting: shards are *disjoint* along axis 0 and are
 decomposed/recomposed independently, so the reconstruction error at any

@@ -12,14 +12,11 @@ from .executor import (
 from .fileio import CompressedFileError, load_compressed, save_compressed
 from .huffman import (
     HuffmanCode,
-    apply_table_delta,
-    build_code,
     code_from_table,
     huffman_decode,
     huffman_decode_scalar,
     huffman_encode,
     huffman_encode_scalar,
-    table_delta,
     table_from_code,
 )
 from .lossless import (
@@ -28,7 +25,6 @@ from .lossless import (
     decode_classes,
     encode_bins,
     encode_classes,
-    materialize_classes_header,
 )
 from .mgard import CompressedData, MgardCompressor, PreparedFrame, StageTimes
 from .plan import (
@@ -61,10 +57,8 @@ __all__ = [
     "SerialExecutor",
     "StageTimes",
     "TimeSeriesCompressor",
-    "apply_table_delta",
     "available_workers",
     "bd_rate_gain",
-    "build_code",
     "clear_plan_cache",
     "code_from_table",
     "compression_plan",
@@ -78,12 +72,10 @@ __all__ = [
     "huffman_encode",
     "huffman_encode_scalar",
     "load_compressed",
-    "materialize_classes_header",
     "plan_cache_stats",
     "rate_distortion_curve",
     "refactor_plan",
     "save_compressed",
     "set_default_executor",
-    "table_delta",
     "table_from_code",
 ]

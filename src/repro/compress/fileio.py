@@ -40,26 +40,13 @@ def save_compressed(
     path: str | Path,
     blob: CompressedData,
     coords: tuple[np.ndarray, ...] | None = None,
-    scratch: dict | None = None,
-    materialize: bool = True,
 ) -> int:
     """Write a :class:`CompressedData` to disk; returns bytes written.
-
-    Blobs from a code-book-reusing stream reference tables shipped by
-    earlier steps; by default those references are *materialized*
-    (resolved against ``scratch`` — the stream's decode-side chain —
-    and inlined) so the file stays self-contained.  Stream containers
-    that keep their own chain on disk pass ``materialize=False``.
 
     ``path`` may also be an open binary stream (e.g. ``io.BytesIO``),
     which is how a pipeline's encode stage serializes in memory while a
     later stage owns the disk write.
     """
-    from .lossless import materialize_classes_header
-
-    headers = blob.headers
-    if materialize:
-        headers = [materialize_classes_header(h, scratch) for h in headers]
     extents = []
     offset = 0
     for p in blob.payloads:
@@ -70,7 +57,7 @@ def save_compressed(
         "tol": blob.tol,
         "mode": blob.mode,
         "steps": blob.steps,
-        "headers": headers,
+        "headers": blob.headers,
         "extents": extents,
         "coords": None if coords is None else [c.tolist() for c in coords],
     }

@@ -24,11 +24,9 @@ self-contained canonical-Huffman implementation:
   shared memory — the decoder its payload words, the encoder its
   symbol ranges, whose returned pack-at-0 word buffers the coordinator
   realigns (:func:`_shift_words`) and OR-merges;
-* a code book can be supplied (``code=``) instead of rebuilt from the
-  data, which is how slowly-varying streams amortize entropy setup
-  across time steps; :func:`table_delta` / :func:`apply_table_delta`
-  express one book as a compact edit script against another so reused
-  books cost almost no header bytes;
+* every encode builds its code book from the data it encodes and ships
+  the full (symbol, length) table in its header, so each payload
+  decodes on its own;
 * :func:`huffman_encode_scalar` / :func:`huffman_decode_scalar` retain
   the original per-element/per-bit loops as cross-check references; the
   two encoders share the code-book construction and emit bit-identical
@@ -55,12 +53,8 @@ __all__ = [
     "huffman_decode",
     "huffman_encode_scalar",
     "huffman_decode_scalar",
-    "build_code",
-    "decode_tables",
     "table_from_code",
     "code_from_table",
-    "table_delta",
-    "apply_table_delta",
 ]
 
 _ESCAPE = object()  # sentinel symbol for out-of-table values
@@ -146,58 +140,25 @@ class HuffmanCode:
         )
 
 
-# "auto" escape reservation kicks in at this alphabet size: one
-# frequency-1 symbol among >= this many is rate noise (it displaces
-# only the rarest real symbol by one bit), while for tiny alphabets it
-# would visibly lengthen every code — there, rebuilding on the first
-# genuinely new symbol is cheaper than carrying the escape
-_RESERVE_ESCAPE_MIN_SYMS = 64
-
-
-def _build_code(
-    values: np.ndarray, max_table: int, reserve_escape: bool | str = False
-) -> HuffmanCode:
+def _build_code(values: np.ndarray, max_table: int) -> HuffmanCode:
+    """The code book of ``values``: every distinct symbol when they fit
+    ``max_table``, else the ``max_table - 1`` most frequent plus ESCAPE."""
     if max_table < 2:
         raise ValueError(f"max_table must be at least 2, got {max_table}")
     syms, counts = np.unique(values, return_counts=True)
-    if reserve_escape == "auto":
-        reserve_escape = syms.size >= _RESERVE_ESCAPE_MIN_SYMS
     if syms.size == 0:
         return HuffmanCode.from_frequencies({0: 1})
-    if syms.size <= max_table - (1 if reserve_escape else 0):
-        freqs = {int(s): int(c) for s, c in zip(syms, counts)}
-        # a reserved (never-yet-used) escape lets this book absorb
-        # symbols that only appear in *later* data when it is reused
-        if reserve_escape:
-            freqs[_ESCAPE] = 1
-        return HuffmanCode.from_frequencies(freqs)
+    if syms.size <= max_table:
+        return HuffmanCode.from_frequencies(
+            {int(s): int(c) for s, c in zip(syms, counts)}
+        )
     # keep the most frequent symbols; the tail goes through ESCAPE
     order = np.argsort(-counts, kind="stable")  # ties: smaller symbol first
     keep = np.sort(order[: max_table - 1])
-    escaped = int(counts.sum() - counts[keep].sum())
     freqs = {int(syms[i]): int(counts[i]) for i in keep}
-    # every dropped symbol occurred at least once, so `escaped >= 1` here;
-    # guard anyway so a zero-frequency ESCAPE can never skew code lengths
-    if escaped > 0 or reserve_escape:
-        freqs[_ESCAPE] = max(escaped, 1)
+    # every dropped symbol occurred at least once, so ESCAPE's count is >= 1
+    freqs[_ESCAPE] = int(counts.sum() - counts[keep].sum())
     return HuffmanCode.from_frequencies(freqs)
-
-
-def build_code(
-    values: np.ndarray, max_table: int = 4096, reserve_escape: bool | str = False
-) -> HuffmanCode:
-    """Build a canonical code book from data without encoding it.
-
-    With ``reserve_escape=True`` the book always contains an ESCAPE
-    code even when every distinct symbol fits the table, so the book
-    can later encode arrays containing symbols it has never seen — the
-    property cross-step code-book reuse relies on.  ``"auto"`` reserves
-    only for alphabets big enough that the extra symbol is rate noise;
-    reusers of escape-less books simply rebuild when a new symbol shows
-    up.
-    """
-    values = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    return _build_code(values, max_table, reserve_escape=reserve_escape)
 
 
 def _header(code: HuffmanCode, n: int, total_bits: int, sync=None) -> dict:
@@ -221,7 +182,7 @@ def _lengths_from_header(header: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# code-book (de)serialization and cross-step deltas
+# code-book (de)serialization
 
 
 def table_from_code(code: HuffmanCode) -> list:
@@ -237,36 +198,6 @@ def code_from_table(table: list) -> HuffmanCode:
     return HuffmanCode.from_lengths(_lengths_from_header({"table": table}))
 
 
-def _table_dict(table: list) -> dict:
-    return {("ESC" if s == "ESC" else int(s)): int(ln) for s, ln in table}
-
-
-def table_delta(ref_table: list, new_table: list) -> dict:
-    """Edit script turning ``ref_table`` into ``new_table``.
-
-    Returns ``{"set": [[sym, len], ...], "drop": [sym, ...]}`` — only
-    the symbols whose code length changed, appeared, or vanished.  For
-    slowly-varying streams this is a small fraction of the full table,
-    so rebuilt books cost few header bytes when expressed as deltas.
-    """
-    ref = _table_dict(ref_table)
-    new = _table_dict(new_table)
-    return {
-        "set": [[s, ln] for s, ln in new.items() if ref.get(s) != ln],
-        "drop": [s for s in ref if s not in new],
-    }
-
-
-def apply_table_delta(ref_table: list, delta: dict) -> list:
-    """Invert :func:`table_delta`: apply an edit script to a base table."""
-    d = _table_dict(ref_table)
-    for s in delta.get("drop", ()):
-        d.pop("ESC" if s == "ESC" else int(s), None)
-    for s, ln in delta.get("set", ()):
-        d[("ESC" if s == "ESC" else int(s))] = int(ln)
-    return [[s, ln] for s, ln in d.items()]
-
-
 # ----------------------------------------------------------------------
 # vectorized fast path
 
@@ -274,8 +205,8 @@ def apply_table_delta(ref_table: list, delta: dict) -> list:
 def _code_arrays(code: HuffmanCode):
     """Dense sorted symbol -> (code, length) arrays for vectorized lookup.
 
-    Memoized on the code book, so a book reused across stream steps
-    pays the table sort exactly once.
+    Memoized on the code book, so the blocks of one block-parallel
+    encode pay the table sort once.
     """
     cached = getattr(code, "_arrays", None)
     if cached is not None:
@@ -291,7 +222,7 @@ def _code_arrays(code: HuffmanCode):
 def _chunkify(values: np.ndarray, code: HuffmanCode):
     """Map symbols to (code, length) chunk arrays for packing.
 
-    Returns ``(c_codes, c_lens, elem_chunk, n_escaped)`` where
+    Returns ``(c_codes, c_lens, elem_chunk)`` where
     ``elem_chunk`` is the chunk index of each element's first chunk
     (``None`` when no element escaped, i.e. chunks == elements).  This
     is the per-block work unit of the parallel encode path.
@@ -299,15 +230,11 @@ def _chunkify(values: np.ndarray, code: HuffmanCode):
     sym_arr, code_arr, len_arr = _code_arrays(code)
     idx = np.minimum(np.searchsorted(sym_arr, values), sym_arr.size - 1)
     in_table = sym_arr[idx] == values
-    esc_len = code.lengths.get(_ESCAPE)
-    n_escaped = int(values.size - np.count_nonzero(in_table))
-    if n_escaped == 0:
-        return code_arr[idx], len_arr[idx], None, 0
-    if esc_len is None:
-        raise ValueError(
-            "value outside the code book and the book has no escape code; "
-            "rebuild the book (or build it with reserve_escape=True)"
-        )
+    if in_table.all():
+        return code_arr[idx], len_arr[idx], None
+    # the book was built from these values, so any symbol outside it
+    # was dropped by the table cap and the book has an ESCAPE code
+    esc_len = code.lengths[_ESCAPE]
     # escapes contribute two chunks: the ESCAPE code + 64 raw bits
     per = np.where(in_table, 1, 2).astype(np.int64)
     starts = np.zeros(values.size, dtype=np.int64)
@@ -323,7 +250,7 @@ def _chunkify(values: np.ndarray, code: HuffmanCode):
     c_lens[ep] = esc_len
     c_codes[ep + 1] = values[~in_table].astype(np.uint64)  # two's complement
     c_lens[ep + 1] = 64
-    return c_codes, c_lens, starts, n_escaped
+    return c_codes, c_lens, starts
 
 
 def _pack_chunks_words(
@@ -399,11 +326,6 @@ def _pack_chunks(
 _BLOCK_SYMBOLS = 64 * _SYNC_BLOCK
 
 
-def _guard_exceeded(guard: dict, n: int, total_bits: int) -> bool:
-    max_bps = guard.get("max_bits_per_symbol")
-    return max_bps is not None and total_bits > max_bps * n + 1e-9
-
-
 def _shift_words(buf: np.ndarray, s: int) -> np.ndarray:
     """Realign a pack-at-bit-0 word buffer to start at bit ``s`` (< 64).
 
@@ -425,43 +347,33 @@ def _shift_words(buf: np.ndarray, s: int) -> np.ndarray:
 
 
 # worker-resident *encode* code books, keyed by the header-form table
-# JSON — the encode-side mirror of _WORKER_TABLE_CACHE: a book reused
-# across stream steps (or across the ranges of one payload) rebuilds
-# its canonical code and memoized lookup arrays once per worker process
+# JSON — the encode-side mirror of _WORKER_TABLE_CACHE: a worker that
+# gets several ranges of one payload rebuilds the canonical code and
+# its memoized lookup arrays once
 _WORKER_CODE_CACHE: dict[str, "HuffmanCode"] = {}
 
 
-def _encode_range(values: np.ndarray, code: "HuffmanCode", max_bps=None):
+def _encode_range(values: np.ndarray, code: "HuffmanCode"):
     """Chunkify + pack one symbol range at local bit offset 0.
 
-    Returns ``(words, nbits, sync_local, n_escaped)`` where ``words``
+    Returns ``(words, nbits, sync_local)`` where ``words``
     is the pack-at-0 word buffer (realigned and OR-merged by the
     coordinator), and ``sync_local`` the range-local bit offsets of
     every :data:`_SYNC_BLOCK`-th symbol *including* symbol 0 — ranges
     start on sync boundaries, so the coordinator turns these into the
     stream's global sync table with one add per range.
-
-    ``max_bps`` is the reuse guard's bound applied as a *local hint*:
-    when this range alone exceeds it, the (expensive) pack is skipped
-    and ``words`` comes back ``None`` — the bit count, sync offsets,
-    and escape count are still returned, so the coordinator can make
-    the real (global, backend-independent) guard decision and re-pack
-    the odd locally-skewed range inline if the stream as a whole
-    passes.
     """
-    c_codes, c_lens, elem_chunk, n_escaped = _chunkify(values, code)
+    c_codes, c_lens, elem_chunk = _chunkify(values, code)
     offsets = np.zeros(c_codes.size + 1, dtype=np.int64)
     np.cumsum(c_lens, out=offsets[1:])
     nbits = int(offsets[-1])
     elem_bits = offsets[:-1] if elem_chunk is None else offsets[elem_chunk]
     lsync = elem_bits[::_SYNC_BLOCK].copy()
-    if max_bps is not None and nbits > max_bps * values.size + 1e-9:
-        return None, nbits, lsync, n_escaped
     words = _pack_chunks_words(c_codes, c_lens, offsets)
-    return words, nbits, lsync, n_escaped
+    return words, nbits, lsync
 
 
-def _encode_range_worker(ref, start: int, stop: int, table_json: str, max_bps=None):
+def _encode_range_worker(ref, start: int, stop: int, table_json: str):
     """Process-pool work unit: encode one symbol range from shm."""
     code = _WORKER_CODE_CACHE.get(table_json)
     if code is None:
@@ -471,18 +383,17 @@ def _encode_range_worker(ref, start: int, stop: int, table_json: str, max_bps=No
         _WORKER_CODE_CACHE[table_json] = code
     lease = ref.open()
     try:
-        # copy the range out of the segment before touching the code
-        # book: _chunkify raises on out-of-book symbols, and an
-        # exception's traceback would pin a live slice view past
-        # lease.close() (BufferError).  One extra memcpy of the range
-        # is noise next to the chunkify/pack passes that follow.
+        # copy the range out of the segment before encoding it: an
+        # exception's traceback would otherwise pin a live slice view
+        # past lease.close() (BufferError).  One extra memcpy of the
+        # range is noise next to the chunkify/pack passes that follow.
         values = np.array(lease.view[start:stop])
     finally:
         lease.close()
-    return _encode_range(values, code, max_bps)
+    return _encode_range(values, code)
 
 
-def _encode_blocks_process(values, code, executor, stats=None, guard=None):
+def _encode_blocks_process(values, code, executor):
     """Sync-aligned block encode fanned out across *processes*.
 
     The encode-side completion of the shared-memory story: the symbol
@@ -494,15 +405,6 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
     payload is bit-identical to the serial path.  Returns ``None`` when
     shared memory is unavailable or the fan-out is too narrow, so the
     caller falls back to the in-process block path.
-
-    A reuse ``guard`` keeps its documented before-any-bits-are-packed
-    economics: workers skip their pack when their own range exceeds the
-    bound (the overwhelmingly common shape of a guard trip — drift is
-    stream-wide), while the *decision* itself is made here from the
-    summed bit counts, so accept/reject is exactly the serial path's.
-    A range skipped locally on a stream that globally passes (escapes
-    concentrated in one range) is re-packed inline from the parent's
-    own copy of the values.
     """
     from ..parallel import shm as _shm
 
@@ -522,9 +424,8 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
         cuts = (np.linspace(0, n_blocks, k + 1).astype(int) * _BLOCK_SYMBOLS)
         cuts[-1] = n
         table_json = json.dumps(table_from_code(code))
-        max_bps = guard.get("max_bits_per_symbol") if guard is not None else None
         rows = [
-            (ref, int(a), int(b), table_json, max_bps)
+            (ref, int(a), int(b), table_json)
             for a, b in zip(cuts[:-1], cuts[1:])
         ]
         parts = executor.map(_encode_range_worker, *zip(*rows))
@@ -532,27 +433,17 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
         block.destroy()
 
     bits = np.zeros(k + 1, dtype=np.int64)
-    for i, (_, nbits, _, _) in enumerate(parts):
+    for i, (_, nbits, _) in enumerate(parts):
         bits[i + 1] = nbits
     starts = np.cumsum(bits)
     total_bits = int(starts[-1])
-    if stats is not None:
-        stats["n_symbols"] = int(n)
-        stats["n_escaped"] = int(sum(p[3] for p in parts))
-    if guard is not None and _guard_exceeded(guard, n, total_bits):
-        return None, None
-    for i, (words, nbits, lsync, nesc) in enumerate(parts):
-        if words is None:  # local hint tripped, stream passed: pack now
-            a, b = int(cuts[i]), int(cuts[i + 1])
-            words = _encode_range(values[a:b], code)[0]
-            parts[i] = (words, nbits, lsync, nesc)
     sync = np.concatenate(
-        [lsync + start for (_, _, lsync, _), start in zip(parts, starts[:-1])]
+        [lsync + start for (_, _, lsync), start in zip(parts, starts[:-1])]
     )[1:]  # drop the stream start (bit 0 is not a sync entry)
 
     n_words = (total_bits + 63) >> 6
     out = np.zeros(n_words + 3, dtype=np.uint64)  # shift + spill slack
-    for (words, _, _, _), start in zip(parts, starts[:-1]):
+    for (words, _, _), start in zip(parts, starts[:-1]):
         s = int(start)
         shifted = _shift_words(words, s & 63)
         w0 = s >> 6
@@ -561,7 +452,7 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
     return payload, _header(code, n, total_bits, sync)
 
 
-def _encode_blocks(values, code, executor, stats=None, guard=None):
+def _encode_blocks(values, code, executor):
     """Block-parallel encode: chunkify and pack sync-aligned blocks.
 
     Fan-out/merge structure: (1) map ``_chunkify`` over symbol blocks,
@@ -576,22 +467,19 @@ def _encode_blocks(values, code, executor, stats=None, guard=None):
     :func:`_shift_words` before the OR-merge.
     """
     if getattr(executor, "kind", None) == "process":
-        out = _encode_blocks_process(values, code, executor, stats, guard)
+        out = _encode_blocks_process(values, code, executor)
         if out is not None:
             return out
     n = values.size
     bounds = list(range(0, n, _BLOCK_SYMBOLS)) + [n]
     blocks = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     chunked = executor.map(lambda v: _chunkify(v, code), blocks)
-    if stats is not None:
-        stats["n_symbols"] = int(n)
-        stats["n_escaped"] = int(sum(c[3] for c in chunked))
 
     # global bit position of every block and of every element
     block_bits = np.zeros(len(blocks) + 1, dtype=np.int64)
     elem_bits_local = []
     block_offs = []
-    for i, (c_codes, c_lens, elem_chunk, _) in enumerate(chunked):
+    for i, (c_codes, c_lens, elem_chunk) in enumerate(chunked):
         offs = np.zeros(c_lens.size + 1, dtype=np.int64)
         np.cumsum(c_lens, out=offs[1:])
         elem_bits_local.append(offs[:-1] if elem_chunk is None else offs[elem_chunk])
@@ -599,15 +487,13 @@ def _encode_blocks(values, code, executor, stats=None, guard=None):
         block_bits[i + 1] = offs[-1]
     block_start = np.cumsum(block_bits)[:-1]
     total_bits = int(block_start[-1] + block_bits[-1])
-    if guard is not None and _guard_exceeded(guard, n, total_bits):
-        return None, None
     elem_bits = np.concatenate(
         [loc + start for loc, start in zip(elem_bits_local, block_start)]
     )
     sync = elem_bits[_SYNC_BLOCK::_SYNC_BLOCK]
 
     def pack_one(i: int):
-        c_codes, c_lens, _, _ = chunked[i]
+        c_codes, c_lens, _ = chunked[i]
         start = int(block_start[i])
         return start >> 6, _pack_chunks_words(
             c_codes, c_lens, block_offs[i] + (start & 63)
@@ -622,69 +508,29 @@ def _encode_blocks(values, code, executor, stats=None, guard=None):
     return payload, _header(code, n, total_bits, sync)
 
 
-def huffman_encode(
-    values: np.ndarray,
-    max_table: int = 4096,
-    *,
-    code: HuffmanCode | None = None,
-    executor=None,
-    stats: dict | None = None,
-    guard: dict | None = None,
-):
+def huffman_encode(values: np.ndarray, max_table: int = 4096, *, executor=None):
     """Encode an int64 array; returns (payload, header).
 
-    The header carries the canonical code book as plain Python data
-    (symbol/length pairs) plus the element count; it is what a container
-    format would serialize alongside the payload.  This is the
-    vectorized fast path; it emits payloads bit-identical to
-    :func:`huffman_encode_scalar`.
-
-    Parameters
-    ----------
-    code:
-        Encode with this (externally built, e.g. cached from a previous
-        stream step) code book instead of building one from the data.
-        The book needs an escape code to cover symbols it has not seen.
-    executor:
-        Schedule sync-aligned symbol blocks through this executor (see
-        :mod:`repro.compress.executor`); the payload is bit-identical
-        to the serial path.
-    stats:
-        Optional dict that receives ``n_symbols`` / ``n_escaped`` — the
-        signal reuse policies watch to decide when a stale book must be
-        rebuilt.
-    guard:
-        Optional reuse guard ``{"max_bits_per_symbol": b}``.  Checked
-        right after the (cheap) symbol-mapping phase, *before* any bits
-        are packed; when the would-be payload exceeds the bound (or the
-        book lacks an escape for a new symbol) the call returns
-        ``(None, None)`` so the caller can rebuild the book without
-        having paid for a wasted encode.
+    The code book is built from ``values`` (at most ``max_table``
+    entries, ESCAPE included) and the header carries it as plain Python
+    data (symbol/length pairs) plus the element count, so the payload
+    decodes with nothing but its header.  This is the vectorized fast
+    path; it emits payloads bit-identical to
+    :func:`huffman_encode_scalar`.  An ``executor`` (see
+    :mod:`repro.compress.executor`) schedules sync-aligned symbol
+    blocks; the payload is bit-identical to the serial path.
     """
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
     if values.size == 0:
         return b"", {"n": 0, "bits": 0, "table": []}
-    if code is None:
-        code = _build_code(values, max_table)
-    try:
-        if (
-            executor is not None
-            and getattr(executor, "max_workers", 1) > 1
-            and values.size >= 2 * _BLOCK_SYMBOLS
-        ):
-            return _encode_blocks(values, code, executor, stats, guard)
-        c_codes, c_lens, elem_chunk, n_escaped = _chunkify(values, code)
-    except ValueError:
-        if guard is not None:
-            # out-of-table symbol and the book has no escape: under a
-            # reuse guard that simply means "rebuild the book"
-            return None, None
-        raise
-    if stats is not None:
-        stats["n_symbols"] = int(values.size)
-        stats["n_escaped"] = n_escaped
-    if guard is not None and _guard_exceeded(guard, values.size, int(c_lens.sum())):
-        return None, None
+    code = _build_code(values, max_table)
+    if (
+        executor is not None
+        and getattr(executor, "max_workers", 1) > 1
+        and values.size >= 2 * _BLOCK_SYMBOLS
+    ):
+        return _encode_blocks(values, code, executor)
+    c_codes, c_lens, elem_chunk = _chunkify(values, code)
     payload, total_bits, offsets = _pack_chunks(c_codes, c_lens)
     elem_bits = offsets if elem_chunk is None else offsets[elem_chunk]
     sync = elem_bits[_SYNC_BLOCK::_SYNC_BLOCK]
@@ -709,8 +555,6 @@ class _DecodeTables:
         order = sorted(code.codes, key=lambda s: (code.lengths[s], code.codes[s]))
         lens_present = sorted({ln for ln in code.lengths.values()})
         self._code = code
-        self._table: list | None = None
-        self._table_json: str | None = None
         self.flat_syms = np.empty(len(order), dtype=np.int64)
         first: dict[int, int] = {}
         count: dict[int, int] = {}
@@ -739,21 +583,10 @@ class _DecodeTables:
         )
 
     @property
-    def table(self) -> list:
-        """Header-form table of the source book (lazy: only the
-        process fan-out, which must rebuild these tables in another
-        address space, ever pays for it)."""
-        if self._table is None:
-            self._table = table_from_code(self._code)
-        return self._table
-
-    @property
     def table_json(self) -> str:
-        """JSON form of :attr:`table`, cached so a code book reused
-        across stream steps serializes once, not once per decode."""
-        if self._table_json is None:
-            self._table_json = json.dumps(self.table)
-        return self._table_json
+        """JSON header-form table of the source book — what the process
+        fan-out ships to rebuild these tables in another address space."""
+        return json.dumps(table_from_code(self._code))
 
     def classify(self, win: np.ndarray):
         """Left-justified windows -> (length, flat symbol rank, valid)."""
@@ -780,19 +613,7 @@ def _windows_at(words: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (words[wi] << r) | ((words[wi + 1] >> (np.uint64(63) - r)) >> np.uint64(1))
 
 
-def decode_tables(code: HuffmanCode) -> "_DecodeTables":
-    """Precompute the canonical decode tables of one code book.
-
-    Pass the result to :func:`huffman_decode` as ``tables=`` to skip
-    the per-call table construction — how a stream decoder amortizes a
-    code book reused across steps.
-    """
-    return _DecodeTables(code)
-
-
-def huffman_decode(
-    payload: bytes, header: dict, *, executor=None, tables=None
-) -> np.ndarray:
+def huffman_decode(payload: bytes, header: dict, *, executor=None) -> np.ndarray:
     """Invert :func:`huffman_encode` (vectorized fast path).
 
     Canonical decoding normally walks the bit stream serially.  When the
@@ -804,7 +625,8 @@ def huffman_decode(
     whole-stream classification: "if a codeword started at bit ``p``,
     which (length, symbol) would it be?", with the actual codeword-start
     chain ``p -> p + len(p)`` resolved by pointer doubling — still pure
-    NumPy array operations.
+    NumPy array operations.  A non-empty header must carry its code
+    book (``table``); one without it raises ``ValueError``.
     """
     n = int(header["n"])
     if n < 0:
@@ -816,9 +638,11 @@ def huffman_decode(
         raise ValueError(f"corrupt Huffman header: negative bit count {total}")
     if len(payload) < (total + 7) >> 3:
         raise ValueError("truncated Huffman payload")
-    if tables is None:
-        code = HuffmanCode.from_lengths(_lengths_from_header(header))
-        tables = _DecodeTables(code)
+    if "table" not in header:
+        raise ValueError(
+            f"corrupt Huffman header: {n} symbols but no code-book table"
+        )
+    tables = _DecodeTables(HuffmanCode.from_lengths(_lengths_from_header(header)))
     sync = header.get("sync")
     if sync and len(sync) + 1 == -(-n // _SYNC_BLOCK):
         return _decode_sync(payload, n, total, tables, sync, executor)
@@ -895,8 +719,7 @@ def _decode_sync_process(
 
 
 # worker-resident decode tables, keyed by the header-form table JSON —
-# a code book reused across stream steps (or across the ranges of one
-# payload) pays its table construction once per worker process
+# a worker that gets several ranges of one payload builds them once
 _WORKER_TABLE_CACHE: dict[str, "_DecodeTables"] = {}
 
 

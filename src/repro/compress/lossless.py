@@ -15,24 +15,16 @@ with byte-identical output to the serial path.  Segments whose class
 dominates the payload additionally parallelize *inside* the segment:
 the Huffman backend via its sync-aligned block encoder, the zlib
 backend by deflating fixed-size sub-blocks independently (the header's
-per-segment ``blocks`` list records their compressed extents).  Headers
-without ``segments`` are the pre-segmentation layout, and zlib segments
-without ``blocks`` are single-unit deflate streams; both still decode
-(backward compatibility).
+per-segment ``blocks`` list records their compressed extents; smaller
+zlib segments are single-unit deflate streams without ``blocks``).
 
-For slowly-varying streams, pass a ``scratch`` dict (conventionally
-``CompressionPlan.scratch``) and the Huffman backend reuses each
-class's code book across calls: exact reuse costs a single integer
-header field (``table_ref``), drift beyond an escape-rate threshold
-triggers a rebuild shipped as a compact ``table_delta``, and
-``refresh=True`` (key frames) forces a full-table rebuild that re-bases
-the chain.  The decoder replays the same chain from its own scratch.
+The stage is stateless: every Huffman segment carries the full code
+book it was built with, so a payload decodes from its own header
+alone, in any order.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import zlib
 
 import numpy as np
@@ -40,13 +32,8 @@ import numpy as np
 from .huffman import (
     _MIN_DECODE_BLOCKS_PER_WORKER,
     _SYNC_BLOCK,
-    _build_code,
-    apply_table_delta,
-    code_from_table,
-    decode_tables,
     huffman_decode,
     huffman_encode,
-    table_delta,
 )
 
 __all__ = [
@@ -54,7 +41,6 @@ __all__ = [
     "decode_bins",
     "encode_classes",
     "decode_classes",
-    "materialize_classes_header",
     "BACKENDS",
 ]
 
@@ -81,12 +67,6 @@ _BIG_DECODE_SEGMENT = 2 * _MIN_DECODE_BLOCKS_PER_WORKER * _SYNC_BLOCK
 # window is tiny against this, so the ratio cost of restarting the
 # dictionary per block is noise.
 _ZLIB_BLOCK_BYTES = 1 << 18
-
-# rebuild a reused code book when the achieved bits/symbol degrade past
-# this factor of the rate the book delivered on the data it was built
-# from; escapes inflate the bit count directly (64 raw bits each), so
-# this single signal covers both frequency drift and out-of-table churn
-_REBUILD_BPS_RATIO = 1.15
 
 
 def _narrow_dtype(values: np.ndarray) -> np.dtype:
@@ -217,102 +197,12 @@ def _inflate_worker(ref, offset: int, length: int) -> bytes:
 # segmented batched container (format 2)
 
 
-def _books(scratch: dict) -> dict:
-    return scratch.setdefault("encode_books", {})
-
-
-def _scratch_lock(scratch: dict) -> threading.Lock:
-    """One lock per scratch, guarding its dict *structures*.
-
-    Concurrent segment tasks touch disjoint per-class entries, but
-    inserting into a dict while a sibling thread iterates it (the
-    prune scans) is still a structural race — serialized here.  The
-    lock lives in the dict and is never serialized with it.
-    """
-    lock = scratch.get("_lock")
-    if lock is None:
-        lock = scratch.setdefault("_lock", threading.Lock())
-    return lock
-
-
-def _next_table_id(scratch: dict, class_idx: int) -> int:
-    """Per-class monotone table ids, unique across reuse contexts."""
-    ids = scratch.setdefault("next_table_id", {})
-    new_id = ids.get(class_idx, 0)
-    ids[class_idx] = new_id + 1
-    return new_id
-
-
-def _encode_segment_huffman(
-    seg: np.ndarray,
-    class_idx: int,
-    executor,
-    scratch: dict | None,
-    refresh: bool,
-    context: str = "default",
-) -> tuple[bytes, dict]:
-    """One class segment through the Huffman backend.
-
-    With ``scratch``, maintains a per-(context, class) code-book chain:
-    reuse → ``table_ref``, drift rebuild → ``table_ref`` +
-    ``table_delta``, refresh → full ``table``; every rebuilt book
-    carries a ``table_id`` the decoder caches under.  ``context``
-    separates chains whose statistics differ by construction (a
-    time-series compressor keeps key frames and temporal residuals
-    apart); table ids stay unique per class across contexts, so the
-    decoder needs no context at all.
-    """
-    if scratch is None or seg.size == 0:
-        return huffman_encode(seg, executor=executor)
-    books = _books(scratch)
-    key = (context, class_idx)
-    entry = books.get(key)
-    if entry is not None and not refresh:
-        payload, hh = huffman_encode(
-            seg,
-            code=entry["code"],
-            executor=executor,
-            guard={"max_bits_per_symbol": _REBUILD_BPS_RATIO * entry["bps"]},
-        )
-        if payload is not None:
-            hh = {k: v for k, v in hh.items() if k != "table"}
-            hh["table_ref"] = entry["id"]
-            return payload, hh
-        # the stream drifted away from the cached book: fall through and
-        # rebuild (only the cheap symbol-mapping probe was wasted)
-    code = _build_code(seg, 4096, reserve_escape="auto")
-    payload, hh = huffman_encode(seg, code=code, executor=executor)
-    table = hh["table"]
-    if entry is not None and not refresh:
-        delta = table_delta(entry["table"], table)
-        if len(json.dumps(delta)) < len(json.dumps(table)):
-            hh = {k: v for k, v in hh.items() if k != "table"}
-            hh["table_ref"] = entry["id"]
-            hh["table_delta"] = delta
-    with _scratch_lock(scratch):
-        new_id = _next_table_id(scratch, class_idx)
-        hh["table_id"] = new_id
-        books[key] = {
-            "id": new_id,
-            "table": table,
-            "code": code,
-            "bps": hh["bits"] / max(seg.size, 1),
-        }
-        archive = scratch.setdefault("encode_tables_by_id", {})
-        archive[(class_idx, new_id)] = table
-        _prune_chain(archive, class_idx, new_id)
-    return payload, hh
-
-
 def encode_classes(
     bins: np.ndarray,
     sizes: list[int],
     backend: str = "zlib",
     level: int = 6,
     executor=None,
-    scratch: dict | None = None,
-    refresh: bool = False,
-    context: str = "default",
 ) -> tuple[bytes, dict]:
     """Encode all coefficient classes as one segmented payload + header.
 
@@ -322,9 +212,9 @@ def encode_classes(
     deflated (zlib) or Huffman-coded with its own code book — and the
     header records per-segment offsets, so encode and decode fan out
     over an ``executor`` and large single-class payloads additionally
-    parallelize block-wise.  The emitted bytes do not depend on the
-    executor.  ``scratch``/``refresh`` drive cross-call code-book reuse
-    (Huffman only; see module docstring).
+    parallelize block-wise.  The emitted bytes depend only on ``bins``,
+    ``sizes``, ``backend`` and ``level`` — never on the executor or on
+    earlier calls.
     """
     bins = np.ascontiguousarray(bins, dtype=np.int64).ravel()
     sizes = [int(s) for s in sizes]
@@ -367,24 +257,15 @@ def encode_classes(
         for i, seg in enumerate(segments):
             if seg.size >= _BIG_SEGMENT:
                 # dominant class: parallelize inside the segment
-                results[i] = _encode_segment_huffman(
-                    seg, i, executor, scratch, refresh, context
-                )
+                results[i] = huffman_encode(seg, executor=executor)
             else:
                 small.append(i)
         if executor is not None and len(small) > 1:
-            encoded = executor.map(
-                lambda i: _encode_segment_huffman(
-                    segments[i], i, None, scratch, refresh, context
-                ),
-                small,
-            )
+            encoded = executor.map(lambda i: huffman_encode(segments[i]), small)
             results.update(zip(small, encoded))
         else:
             for i in small:
-                results[i] = _encode_segment_huffman(
-                    segments[i], i, None, scratch, refresh, context
-                )
+                results[i] = huffman_encode(segments[i])
         payloads = [results[i][0] for i in range(len(segments))]
         seg_headers = [results[i][1] for i in range(len(segments))]
 
@@ -403,111 +284,8 @@ def encode_classes(
     return b"".join(payloads), header
 
 
-def _tables(scratch: dict) -> dict:
-    return scratch.setdefault("decode_tables", {})
-
-
-# cached decode tables older than this many ids behind a class's newest
-# can never be referenced again (the encoder re-bases every key
-# interval), so they are pruned to bound a long-lived stream's memory
-_TABLE_CHAIN_WINDOW = 8
-
-
-def _prune_chain(cache: dict, class_idx: int, new_id: int) -> None:
-    for k in [
-        k
-        for k in cache
-        if k[0] == class_idx and k[1] <= new_id - _TABLE_CHAIN_WINDOW
-    ]:
-        del cache[k]
-
-
-def _encoder_table(scratch: dict, class_idx: int, ref: int):
-    """Look a reference up in the *encoder's* table archive, if present.
-
-    Lets the scratch that produced a blob also materialize it: every
-    book the encoder ships is archived under its id (windowed like the
-    decode chain), so even a drift-rebuild header — whose ``table_ref``
-    points at the *previous* book — resolves without the caller ever
-    having decoded the stream.
-    """
-    return scratch.get("encode_tables_by_id", {}).get((class_idx, int(ref)))
-
-
-def _resolve_table(seg_header: dict, class_idx: int, scratch: dict | None) -> list:
-    """The effective code-book table of one Huffman segment.
-
-    Full tables are cached (under their ``table_id``) for later
-    reference; ``table_ref`` headers look the base table up and apply
-    the delta, extending the chain.  A missing reference means the
-    caller skipped the steps that shipped the book — decode the stream
-    from its last key frame instead.
-    """
-    table = seg_header.get("table")
-    if table is None:
-        ref = seg_header.get("table_ref")
-        if ref is None:
-            raise ValueError("segment header carries neither table nor table_ref")
-        if scratch is None:
-            raise ValueError(
-                "segment references a cached code book but no scratch was "
-                "given; decode the stream in order from its last key frame"
-            )
-        base = _tables(scratch).get((class_idx, int(ref)))
-        if base is None:
-            base = _encoder_table(scratch, class_idx, ref)
-        if base is None:
-            raise ValueError(
-                f"unknown code-book reference {ref} for class {class_idx}; "
-                "decode the stream in order from its last key frame"
-            )
-        delta = seg_header.get("table_delta")
-        table = apply_table_delta(base, delta) if delta is not None else base
-    if scratch is not None and "table_id" in seg_header:
-        cache = _tables(scratch)
-        tid = int(seg_header["table_id"])
-        prev = cache.get((class_idx, tid))
-        cache[(class_idx, tid)] = table
-        if prev is not None and prev != table:
-            # id collision: a restarted producer re-numbers its chain
-            # from 0, so any decode tables cached under the old book
-            # with this id are stale and must not be used again
-            scratch.get("decode_table_objs", {}).pop((class_idx, tid), None)
-        _prune_chain(cache, class_idx, tid)
-    return table
-
-
-def materialize_classes_header(header: dict, scratch: dict | None = None) -> dict:
-    """A self-contained copy of a segmented header.
-
-    Resolves every ``table_ref``/``table_delta`` segment against the
-    (decode-side) ``scratch`` chain and inlines the full table, so the
-    result decodes without any stream context — what a standalone file
-    format wants to persist.  Headers that are already self-contained
-    are returned unchanged.
-    """
-    if "segments" not in header or header.get("backend") != "huffman":
-        return header
-    segs = []
-    changed = False
-    for i, sh in enumerate(header["segments"]):
-        if int(sh.get("n", 0)) > 0 and "table" not in sh:
-            table = _resolve_table(sh, i, scratch)
-            sh = {
-                k: v
-                for k, v in sh.items()
-                if k not in ("table_ref", "table_delta")
-            }
-            sh["table"] = table
-            changed = True
-        segs.append(sh)
-    if not changed:
-        return header
-    return {**header, "segments": segs}
-
-
 def _decode_segmented(
-    payload: bytes, header: dict, executor=None, scratch: dict | None = None
+    payload: bytes, header: dict, executor=None
 ) -> tuple[np.ndarray, list[int]]:
     sizes = [int(s) for s in header["class_sizes"]]
     segs = header["segments"]
@@ -519,36 +297,12 @@ def _decode_segmented(
     end = segs[-1]["offset"] + segs[-1]["nbytes"] if segs else 0
     if end > len(payload):
         raise ValueError("truncated segmented payload")
-    # resolve code-book references serially (cheap, order-dependent) so
-    # the parallel phase below is embarrassingly independent; decode
-    # tables of chained books are cached so a reused book pays its
-    # table construction once per stream, not once per step
-    effective: list[dict] = []
-    dtabs: list = []
-    for i, sh in enumerate(segs):
-        if backend == "huffman" and int(sh["n"]) > 0:
-            table = _resolve_table(sh, i, scratch)
-            effective.append({**sh, "table": table})
-            tid = sh.get("table_id", sh.get("table_ref"))
-            if scratch is not None and tid is not None:
-                cache = scratch.setdefault("decode_table_objs", {})
-                obj = cache.get((i, int(tid)))
-                if obj is None:
-                    obj = decode_tables(code_from_table(table))
-                    cache[(i, int(tid))] = obj
-                    _prune_chain(cache, i, int(tid))
-                dtabs.append(obj)
-            else:
-                dtabs.append(None)
-        else:
-            effective.append(sh)
-            dtabs.append(None)
 
     out = np.empty(sum(sizes), dtype=np.int64)
     starts = np.cumsum([0] + sizes)
 
     def decode_one(i: int, inner=None) -> None:
-        sh = effective[i]
+        sh = segs[i]
         sub = payload[sh["offset"] : sh["offset"] + sh["nbytes"]]
         if backend == "zlib":
             blocks = sh.get("blocks")
@@ -564,7 +318,7 @@ def _decode_segmented(
                 raw = zlib.decompress(sub)
             vals = np.frombuffer(raw, dtype=np.dtype(sh["dtype"])).astype(np.int64)
         else:
-            vals = huffman_decode(sub, sh, executor=inner, tables=dtabs[i])
+            vals = huffman_decode(sub, sh, executor=inner)
         if vals.size != sizes[i]:
             raise ValueError(f"segment {i} decoded {vals.size} values, expected {sizes[i]}")
         out[starts[i] : starts[i + 1]] = vals
@@ -589,44 +343,19 @@ def _decode_segmented(
 
 
 def decode_classes(
-    payload: bytes, header: dict, executor=None, scratch: dict | None = None
+    payload: bytes, header: dict, executor=None
 ) -> tuple[np.ndarray, list[int]]:
     """Invert :func:`encode_classes`; returns (flat int64 bins, sizes).
 
-    Accepts both the segmented layout (``format: 2``) and the original
-    single-stream layout, so blobs written before the segmentation
-    refactor still decode.
+    Needs nothing but ``payload`` and its segmented (``format: 2``)
+    header; a header without ``class_sizes`` or ``segments`` raises
+    ``ValueError``.
     """
-    sizes = header.get("class_sizes")
-    if sizes is None:
+    if header.get("class_sizes") is None:
         raise ValueError("header carries no class_sizes; not a batched payload")
-    if "segments" in header:
-        return _decode_segmented(payload, header, executor=executor, scratch=scratch)
-    sizes = [int(s) for s in sizes]
-    backend = header.get("backend")
-    if backend == "zlib":
-        raw = zlib.decompress(payload)
-        out = np.empty(sum(sizes), dtype=np.int64)
-        offset = 0
-        pos = 0
-        for size, dt in zip(sizes, header["dtypes"]):
-            dt = np.dtype(dt)
-            nbytes = size * dt.itemsize
-            seg = np.frombuffer(raw[offset : offset + nbytes], dtype=dt)
-            if seg.size != size:
-                raise ValueError(f"decoded {seg.size} values, expected {size}")
-            out[pos : pos + size] = seg
-            offset += nbytes
-            pos += size
-        if offset != len(raw):
-            raise ValueError(f"batched payload has {len(raw) - offset} trailing bytes")
-        return out, sizes
-    if backend == "huffman":
-        out = huffman_decode(payload, header, executor=executor)
-        if out.size != sum(sizes):
-            raise ValueError(f"decoded {out.size} values, expected {sum(sizes)}")
-        return out, sizes
-    raise ValueError(f"unknown lossless backend {backend!r}")
+    if "segments" not in header:
+        raise ValueError("header carries no segments; not a segmented payload")
+    return _decode_segmented(payload, header, executor=executor)
 
 
 def decode_bins(payload: bytes, header: dict) -> np.ndarray:

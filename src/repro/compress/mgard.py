@@ -200,31 +200,10 @@ class MgardCompressor:
         )
 
     # ------------------------------------------------------------------
-    def compress(
-        self,
-        data: np.ndarray,
-        *,
-        scratch: dict | None = None,
-        refresh_codebooks: bool = False,
-        codebook_context: str = "default",
-    ) -> CompressedData:
-        """Compress ``data`` with the configured error bound.
-
-        ``scratch`` (conventionally a
-        :meth:`CompressionPlan.scratch_area`) enables cross-call
-        Huffman code-book reuse in the entropy stage;
-        ``refresh_codebooks=True`` forces a full-table rebuild (key
-        frames), and ``codebook_context`` separates reuse chains whose
-        statistics differ by construction (key frames vs temporal
-        residuals).  All three require ``batch_classes``.
-        """
+    def compress(self, data: np.ndarray) -> CompressedData:
+        """Compress ``data`` with the configured error bound."""
         if self.batch_classes:
-            return self.encode_prepared(
-                self.prepare(data),
-                scratch=scratch,
-                refresh_codebooks=refresh_codebooks,
-                codebook_context=codebook_context,
-            )
+            return self.encode_prepared(self.prepare(data))
 
         times = StageTimes()
         t0 = time.perf_counter()
@@ -300,23 +279,13 @@ class MgardCompressor:
         refactored = assemble_from_classes(classes, self.hier)
         return recompose(refactored, self.hier, self.engine)
 
-    def encode_prepared(
-        self,
-        prep: PreparedFrame,
-        *,
-        scratch: dict | None = None,
-        refresh_codebooks: bool = False,
-        codebook_context: str = "default",
-    ) -> CompressedData:
+    def encode_prepared(self, prep: PreparedFrame) -> CompressedData:
         """Entropy-code a :class:`PreparedFrame` into a container.
 
-        The stateless half of :meth:`compress`: given the quantized
-        bins, the emitted bytes depend only on (``scratch`` chain
-        position, ``refresh_codebooks``, ``codebook_context``) — not on
-        any compressor state — so a pipeline may run it outside the
-        prediction loop.  Calls that share a ``scratch`` (a code-book
-        chain) must still arrive in stream order; an in-order pipeline
-        stage gate provides exactly that.
+        The stateless half of :meth:`compress`: the emitted bytes are a
+        function of ``prep`` alone — no compressor state, no earlier
+        calls — so a pipeline may run it outside the prediction loop,
+        in any order.
         """
         if prep.shape != self.hier.shape:
             raise ValueError(
@@ -341,9 +310,6 @@ class MgardCompressor:
             prep.sizes,
             backend=self.backend,
             executor=self.executor,
-            scratch=scratch,
-            refresh=refresh_codebooks,
-            context=codebook_context,
         )
         times.entropy_wall = time.perf_counter() - t0
 
@@ -358,16 +324,12 @@ class MgardCompressor:
             times=times,
         )
 
-    def decompress(
-        self, blob: CompressedData, *, scratch: dict | None = None
-    ) -> np.ndarray:
+    def decompress(self, blob: CompressedData) -> np.ndarray:
         """Invert :meth:`compress` (up to the error bound).
 
         Accepts both payload layouts: one payload per class, or the
-        batched single payload whose header carries ``class_sizes``
-        (segmented or pre-segmentation).  ``scratch`` resolves code-book
-        references of blobs encoded with cross-call reuse; such blobs
-        must be decoded in stream order from their last key frame.
+        batched single segmented payload whose header carries
+        ``class_sizes``.  Every blob decodes on its own.
         """
         if blob.shape != self.hier.shape:
             raise ValueError(
@@ -382,7 +344,6 @@ class MgardCompressor:
                 blob.payloads[0],
                 blob.headers[0],
                 executor=self.executor,
-                scratch=scratch,
             )
             times.entropy_wall = time.perf_counter() - t0
 

@@ -20,7 +20,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,11 +70,7 @@ class CompressionPlan:
     Holds the refactor plan plus the quantizer (with its per-class step
     budget resolved once), the entropy backend, and the executor spec
     that schedules the encode stage's work units, so
-    :meth:`compressor` instances share all setup.  ``scratch`` is a
-    plan-lifetime dictionary the pipeline stages may use for reusable
-    buffers (e.g. Huffman code books for slowly-varying streams);
-    consumers carve private namespaces out of it with
-    :meth:`scratch_area` so same-geometry streams never collide.
+    :meth:`compressor` instances share all setup.
     """
 
     refactor: RefactorPlan
@@ -83,7 +79,6 @@ class CompressionPlan:
     backend: str
     steps: tuple[float, ...]
     executor: str = "serial"
-    scratch: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def hier(self) -> TensorHierarchy:
@@ -107,19 +102,6 @@ class CompressionPlan:
 
         return get_executor(self.executor)
 
-    def scratch_area(self, tag: str) -> dict:
-        """A private sub-dictionary of ``scratch`` for one consumer.
-
-        ``scratch`` is shared by every plan of one (geometry, tol,
-        mode, backend) — the executor spec deliberately plays no part,
-        since scheduling never changes emitted bytes — and outlives any
-        one compressor: a stream writer that tags its area with its
-        output path can resume its code-book chain after being
-        reopened, while two concurrent same-geometry streams
-        (different tags) stay isolated.
-        """
-        return self.scratch.setdefault(tag, {})
-
     def compressor(self, engine=None, **kwargs):
         """A ready-to-launch :class:`~repro.compress.mgard.MgardCompressor`."""
         from .mgard import MgardCompressor
@@ -136,12 +118,6 @@ class CompressionPlan:
 
 
 _PLAN_CACHE = _LruCache(max_entries=128)
-
-# scratch dictionaries are keyed by everything in the plan identity
-# EXCEPT the executor spec: the executor is pure runtime scheduling
-# (emitted bytes never depend on it), so a stream's code-book chain
-# must survive the ambient executor changing between reopens
-_SCRATCH_CACHE = _LruCache(max_entries=128)
 
 
 def refactor_plan(
@@ -177,37 +153,32 @@ def compression_plan(
         from .executor import default_spec
 
         executor = default_spec()
-    base_key = (
+    key = (
         "compress",
         tuple(int(s) for s in shape),
         _coords_key(coords),
         float(tol),
         str(mode),
         str(backend),
+        str(executor),
     )
-    key = base_key + (str(executor),)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         from .quantizer import Quantizer
 
-        scratch = _SCRATCH_CACHE.get(base_key)
-        if scratch is None:
-            scratch = {}
-            _SCRATCH_CACHE.put(base_key, scratch)
         rplan = refactor_plan(shape, coords)
         steps = tuple(Quantizer(tol, mode=mode).steps_for(rplan.n_classes))
         plan = CompressionPlan(
             refactor=rplan, tol=float(tol), mode=str(mode), backend=str(backend),
-            steps=steps, executor=str(executor), scratch=scratch,
+            steps=steps, executor=str(executor),
         )
         _PLAN_CACHE.put(key, plan)
     return plan
 
 
 def clear_plan_cache() -> None:
-    """Drop all cached plans and scratch (and reset the counters)."""
+    """Drop all cached plans (and reset the counters)."""
     _PLAN_CACHE.clear()
-    _SCRATCH_CACHE.clear()
 
 
 def plan_cache_stats() -> dict:

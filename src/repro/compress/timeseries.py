@@ -16,13 +16,11 @@ near-zero bins, so the stream compresses far better than independent
 frames at the same L∞ bound — which tests assert.  Key frames can be
 re-inserted periodically to bound random-access cost.
 
-Entropy setup is amortized the same way the signal is: with the
-``huffman`` backend the compressor keeps each class's code book in a
-:meth:`~repro.compress.plan.CompressionPlan.scratch_area` and *reuses*
-it across steps (non-key steps ship a one-integer ``table_ref`` — or a
-compact ``table_delta`` when the stream drifts — instead of a full
-table), with a full-table refresh keyed to key frames.  The decoder
-replays the chain, so frames decode in stream order from any key frame.
+The entropy stage carries no state across steps: every frame's classes
+are coded with code books built from that frame's own bins, so each
+frame's blob decodes on its own.  Only the *signal* chains — a delta
+frame adds to the previous reconstruction — which is why frames are
+reconstructed in stream order from a key frame.
 """
 
 from __future__ import annotations
@@ -45,16 +43,14 @@ class ResidualPlan:
     in-order half of :meth:`TimeSeriesCompressor.append` that owns the
     closed prediction loop — and consumed by
     :meth:`TimeSeriesCompressor.encode_residual`.  Everything the
-    entropy stage needs travels in the plan (quantized bins, key/delta
-    decision, code-book context and refresh flag), so the encode may
-    run outside the prediction loop: the decoded-feedback dependency
-    lives entirely in ``predict_residual``.
+    entropy stage needs travels in the plan (quantized bins and the
+    key/delta decision), so the encode may run outside the prediction
+    loop: the decoded-feedback dependency lives entirely in
+    ``predict_residual``.
     """
 
     index: int
     is_key: bool
-    context: str
-    refresh: bool
     prepared: PreparedFrame
 
 
@@ -99,16 +95,6 @@ class TimeSeriesCompressor:
     executor:
         Executor (spec string or instance) for the entropy stage's
         per-class/per-block fan-out.
-    reuse_codebooks:
-        Reuse Huffman code books across steps (ignored for zlib, which
-        has no per-stream setup to amortize).
-    stream_tag:
-        Key of this stream's :meth:`CompressionPlan.scratch_area`
-        inside the (globally cached) plan — a writer that tags the
-        area with its output path can resume its code-book chain after
-        being reopened in the same process.  Untagged compressors keep
-        a private per-instance scratch instead, so anonymous streams
-        neither accumulate in the plan cache nor alias each other.
     """
 
     def __init__(
@@ -119,8 +105,6 @@ class TimeSeriesCompressor:
         mode: str = "level",
         backend: str = "zlib",
         executor=None,
-        reuse_codebooks: bool = True,
-        stream_tag: str | None = None,
     ):
         if key_interval < 1:
             raise ValueError("key_interval must be >= 1")
@@ -130,19 +114,8 @@ class TimeSeriesCompressor:
         self._spatial = MgardCompressor(
             hier, tol, mode=mode, backend=backend, executor=executor
         )
-        self.reuse_codebooks = bool(reuse_codebooks) and backend == "huffman"
-        if not self.reuse_codebooks:
-            self._scratch = None
-        elif stream_tag is not None:
-            from .plan import compression_plan
-
-            plan = compression_plan(hier.shape, tol, mode=mode, backend=backend)
-            self._scratch = plan.scratch_area(stream_tag)
-        else:
-            self._scratch = {}
         self._prev_recon: np.ndarray | None = None
         self._t = 0
-        self._rebase_delta = False
 
     # ------------------------------------------------------------------
     @property
@@ -154,14 +127,13 @@ class TimeSeriesCompressor:
         """Restart the prediction loop (the next frame is a key frame)."""
         self._prev_recon = None
         self._t = 0
-        self._rebase_delta = False
 
     def append(self, frame: np.ndarray) -> tuple[CompressedData, bool]:
         """Compress one more step of the stream; returns (blob, is_key).
 
         This is the producer-side incremental API: a running simulation
         appends steps as they are computed, and the compressor keeps the
-        closed prediction loop and the code-book chain across calls.
+        closed prediction loop across calls.
         Equivalent to ``encode_residual(predict_residual(frame))`` —
         the fused form of the split a pipeline overlaps.
         """
@@ -186,50 +158,24 @@ class TimeSeriesCompressor:
             )
         is_key = self._prev_recon is None or self._t % self.key_interval == 0
         target = frame if is_key else frame - self._prev_recon
-        # key frames and temporal residuals have very different bin
-        # statistics, so each keeps its own code-book chain; both chains
-        # re-base (full tables) once per key interval, which also keeps
-        # every table_ref resolvable from the nearest key frame — the
-        # random-access granularity closed-loop prediction has anyway
-        if is_key:
-            context, refresh = "key", True
-            self._rebase_delta = True
-        else:
-            context, refresh = "delta", self._rebase_delta
-            self._rebase_delta = False
         prepared = self._spatial.prepare(np.ascontiguousarray(target))
         recon_target = self._spatial.reconstruct_prepared(prepared)
         self._prev_recon = (
             recon_target if is_key else self._prev_recon + recon_target
         )
-        plan = ResidualPlan(
-            index=self._t,
-            is_key=is_key,
-            context=context,
-            refresh=refresh,
-            prepared=prepared,
-        )
+        plan = ResidualPlan(index=self._t, is_key=is_key, prepared=prepared)
         self._t += 1
         return plan
 
     def encode_residual(self, plan: ResidualPlan) -> tuple[CompressedData, bool]:
         """Entropy-code a :class:`ResidualPlan`; returns (blob, is_key).
 
-        Stateless with respect to the prediction loop: the plan carries
-        everything the entropy stage needs.  Plans that share this
-        compressor's code-book chain (``reuse_codebooks``) must still be
-        encoded in stream order — an in-order pipeline stage gate
-        provides exactly that — but the *prediction* of later frames
-        never waits on this call, which is what lets all three Fig. 10
-        stages overlap for compressed streams.
+        Stateless: the plan carries everything the entropy stage needs,
+        so plans may be encoded in any order, and the *prediction* of
+        later frames never waits on this call — which is what lets all
+        three Fig. 10 stages overlap for compressed streams.
         """
-        blob = self._spatial.encode_prepared(
-            plan.prepared,
-            scratch=self._scratch,
-            refresh_codebooks=plan.refresh,
-            codebook_context=plan.context,
-        )
-        return blob, plan.is_key
+        return self._spatial.encode_prepared(plan.prepared), plan.is_key
 
     def compress(self, frames: list[np.ndarray]) -> CompressedSeries:
         """Compress a frame sequence with closed-loop temporal prediction."""
@@ -252,9 +198,8 @@ class TimeSeriesCompressor:
             raise ValueError("series was compressed for a different grid")
         out: list[np.ndarray] = []
         prev: np.ndarray | None = None
-        scratch: dict = {}  # rebuilt code-book chain, local to this pass
         for blob, is_key in zip(series.frames, series.is_key):
-            delta = self._spatial.decompress(blob, scratch=scratch)
+            delta = self._spatial.decompress(blob)
             frame = delta if is_key else prev + delta
             out.append(frame)
             prev = frame

@@ -31,14 +31,11 @@ Two stream modes share the directory layout:
 
 ``compressed`` (pass ``tol=``)
     Steps go through the error-bounded time-series compressor:
-    closed-loop temporal prediction, key frames every ``key_interval``
-    steps, and — with the ``huffman`` backend — cross-step code-book
-    reuse through the shared compression plan's scratch (non-key steps
-    reference the books shipped at the last key frame instead of
-    re-serializing them).  Step files keep those references *on disk*;
-    the reader replays the chain from the nearest key frame, which is
-    exactly the random-access granularity closed-loop prediction has
-    anyway.
+    closed-loop temporal prediction with key frames every
+    ``key_interval`` steps.  Every step file is a self-contained
+    ``.mgz`` container (its entropy code books included); a non-key
+    step holds a temporal residual, so the reader reconstructs it by
+    replaying the steps from the nearest key frame.
 
 Either mode may additionally be **sharded** (pass ``shards=``): every
 step splits along axis 0 into independent shard segments — the paper's
@@ -225,10 +222,9 @@ class StepStreamWriter:
         :meth:`StepStreamReader.read_region` decodes only the shards a
         sub-volume needs.  Sharded *compressed* steps follow the
         paper's independent-partition model: each step is spatially
-        compressed on its own (no temporal prediction, no cross-step
-        code-book chain — every shard container is self-contained), so
-        the per-step L∞ bound still holds and any step decodes without
-        replaying a chain.
+        compressed on its own (no temporal prediction — every shard
+        container is self-contained), so the per-step L∞ bound still
+        holds and any step decodes without replaying a chain.
     tier_store / tier_fast_budget:
         A :class:`~repro.io.storage.LocalTierStore` makes every commit
         *also* place the step's container across the store's directory
@@ -250,7 +246,6 @@ class StepStreamWriter:
         key_interval: int = 16,
         mode: str = "level",
         executor=None,
-        reuse_codebooks: bool = True,
         shards: int | None = None,
         durability: str = "rename",
         tier_store=None,
@@ -301,8 +296,6 @@ class StepStreamWriter:
                 mode=mode,
                 backend=backend,
                 executor=executor,
-                reuse_codebooks=reuse_codebooks,
-                stream_tag=str(self.root.resolve()),
             )
         self._manifest_path = self.root / _MANIFEST
         if self._manifest_path.exists():
@@ -379,8 +372,8 @@ class StepStreamWriter:
         """Refactor/compress one step into memory, without committing.
 
         Steps must be encoded in stream order (the compressed mode's
-        closed prediction loop and code-book chain are stateful); a
-        pipeline's per-stage gate provides exactly that.  The returned
+        closed prediction loop is stateful); a pipeline's per-stage
+        gate provides exactly that.  The returned
         :class:`PreparedStep` carries the serialized container bytes
         plus its manifest entry; hand it to :meth:`commit_step`.  The
         fused form of the two-stage compressed-mode split
@@ -479,9 +472,8 @@ class StepStreamWriter:
     def encode_predicted(self, pred: PredictedStep) -> PreparedStep:
         """Entropy-code a predicted step and serialize its container.
 
-        Steps sharing the writer's code-book chain must be encoded in
-        stream order (a pipeline's per-stage gate guarantees it); the
-        prediction of later steps never waits on this call.
+        Stateless: the container bytes depend on ``pred`` alone, and
+        the prediction of later steps never waits on this call.
         """
         if self._compressor is None:
             raise StreamError(
@@ -491,9 +483,7 @@ class StepStreamWriter:
             )
         blob, is_key = self._compressor.encode_residual(pred.plan)
         buf = io.BytesIO()
-        # keep code-book references as written: the stream directory
-        # is the unit of self-containment, not the individual step
-        nbytes = save_compressed(buf, blob, materialize=False)
+        nbytes = save_compressed(buf, blob)
         return PreparedStep(
             index=pred.index,
             name=f"step_{pred.index:06d}.mgz",
@@ -549,16 +539,15 @@ class StepStreamWriter:
         claim counter to the committed prefix so appending can resume.
         Outstanding :class:`PreparedStep` objects from before the reset
         are invalid and must be dropped.  Compressed-mode writers note:
-        the prediction loop and code-book chain already advanced past
-        the abandoned steps, so the stream resumes from re-encoded
-        data, not from the abandoned frames.
+        the prediction loop already advanced past the abandoned steps,
+        so the stream resumes from re-encoded data, not from the
+        abandoned frames.
         """
         pending = self._next_index - len(self._steps)
         self._next_index = len(self._steps)
         if self._compressor is not None and pending:
-            # re-base the temporal chain: the next append is a key frame
-            # and rebuilds its code books, so nothing references state
-            # shipped only by the abandoned steps
+            # re-base the temporal chain: the next append is a key frame,
+            # so no residual predicts from an abandoned step
             self._compressor.reset()
         return pending
 
@@ -644,7 +633,6 @@ class StepStreamReader:
         self._spatial = None
         self._pos: int | None = None
         self._prev: np.ndarray | None = None
-        self._scratch: dict = {}
         self._refresh_failures = 0
         self._lock = threading.RLock()
         #: bumped when refresh() adopts a manifest whose known entries
@@ -1010,8 +998,8 @@ class StepStreamReader:
 
         Compressed streams honour ``tol``; sequential reads cost one
         blob decode each and random access rolls forward from the
-        nearest key frame at or before ``step``, replaying the
-        code-book chain along the way.  Sharded streams (either payload
+        nearest key frame at or before ``step``, adding each residual
+        along the way.  Sharded streams (either payload
         mode) decode all shards of ``step`` directly — independent
         partitions need no chain replay.
 
@@ -1058,7 +1046,6 @@ class StepStreamReader:
 
     def _reset_chain(self) -> None:
         self._pos, self._prev = None, None
-        self._scratch = {}
 
     def _recover_read(self, step: int) -> np.ndarray:
         """Serve the nearest decodable state at or before ``step``.
@@ -1116,7 +1103,7 @@ class StepStreamReader:
             self._spatial = MgardCompressor.for_shape(
                 self.shape, float(blob.tol), mode=blob.mode
             )
-        delta = self._spatial.decompress(blob, scratch=self._scratch)
+        delta = self._spatial.decompress(blob)
         self._prev = delta if meta.get("is_key") else self._prev + delta
         self._pos = s
 

@@ -325,9 +325,9 @@ def _compressed_stages(writer: StepStreamWriter):
 
     The predict stage owns the closed prediction loop (temporal
     residual, refactor, quantize); encode is the entropy stage plus
-    container serialization.  Both are stateful across steps (the
-    prediction feedback and the code-book chain), which the pipeline's
-    per-stage in-order gates make safe.
+    container serialization.  Predict is stateful across steps (the
+    prediction feedback), which the pipeline's per-stage in-order gates
+    make safe; encode is stateless.
     """
 
     def predict(frame):

@@ -122,6 +122,9 @@ class TestBatchedClasses:
         with pytest.raises(ValueError):
             encode_classes(np.zeros(5, dtype=np.int64), [2, 2])
         payload, header = encode_classes(np.zeros(4, dtype=np.int64), [2, 2])
+        no_segments = {k: v for k, v in header.items() if k != "segments"}
+        with pytest.raises(ValueError, match="segments"):
+            decode_classes(payload, no_segments)
         header["class_sizes"] = [2, 3]
         with pytest.raises(ValueError):
             decode_classes(payload, header)

@@ -1,18 +1,16 @@
-"""Parallel encode executor + cross-step code-book reuse.
+"""Parallel encode executor + self-contained entropy segments.
 
-Four contracts:
+Three contracts:
 
 * the parallel encode/decode paths are *bit-identical* to the serial
-  ones (payloads, headers, and the code-book chains of reusing
-  streams), on adversarial class mixes;
-* code books delta-encode across stream steps and round-trip exactly;
+  ones (payloads and headers) on adversarial class mixes;
+* every Huffman segment carries its own code book, and one without it
+  is rejected with ``ValueError`` — directly and through a saved file;
 * a :class:`StepStreamReader` can follow a producer that is still
-  appending;
-* blobs written by the pre-segmentation container layout still decode.
+  appending.
 """
 
-import json
-import zlib
+import io
 
 import numpy as np
 import pytest
@@ -24,25 +22,10 @@ from repro.compress.executor import (
     get_executor,
     set_default_executor,
 )
-from repro.compress.huffman import (
-    _BLOCK_SYMBOLS,
-    apply_table_delta,
-    build_code,
-    code_from_table,
-    huffman_decode,
-    huffman_encode,
-    table_delta,
-    table_from_code,
-)
-from repro.compress.lossless import (
-    _narrow_dtype,
-    decode_classes,
-    encode_classes,
-    materialize_classes_header,
-)
+from repro.compress.fileio import load_compressed, save_compressed
+from repro.compress.huffman import _BLOCK_SYMBOLS, huffman_decode, huffman_encode
+from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
-from repro.compress.timeseries import TimeSeriesCompressor
-from repro.core.grid import hierarchy_for
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
 
 
@@ -133,27 +116,6 @@ class TestParallelSerialBitIdentity:
         np.testing.assert_array_equal(flat, bins)
         assert len(calls) >= 2, "segmented decode did not use the inner split"
 
-    def test_reusing_chains_are_executor_independent(self, rng):
-        """Serial and parallel scratch chains evolve identically."""
-        sizes = [50, 3000, 20000]
-        streams = [
-            np.concatenate(
-                [rng.integers(-3 - t, 4 + t, s).astype(np.int64) for s in sizes]
-            )
-            for t in range(4)
-        ]
-        scr_s, scr_p = {}, {}
-        par = _par()
-        for t, bins in enumerate(streams):
-            p_s, h_s = encode_classes(
-                bins, sizes, backend="huffman", scratch=scr_s, refresh=(t == 0)
-            )
-            p_p, h_p = encode_classes(
-                bins, sizes, backend="huffman", scratch=scr_p, refresh=(t == 0),
-                executor=par,
-            )
-            assert p_s == p_p and h_s == h_p, t
-
     def test_compressor_roundtrip_with_parallel_plan(self, rng):
         shape = (33, 33)
         data = rng.standard_normal(shape).cumsum(0).cumsum(1)
@@ -195,175 +157,39 @@ class TestExecutorSelection:
         assert p1 is not p2
         assert isinstance(p1.get_executor(), SerialExecutor)
         assert isinstance(p2.get_executor(), ParallelExecutor)
-        # scheduling never changes emitted bytes, so the code-book
-        # scratch must survive the ambient executor spec changing
-        # (e.g. a stream writer reopened under a different knob)
-        assert p1.scratch is p2.scratch
-        assert p1.scratch_area("stream-x") is p2.scratch_area("stream-x")
 
 
-class TestCodeBookDeltas:
-    def test_delta_roundtrip_three_steps(self, rng):
-        """Tables drift over >= 3 steps; deltas reproduce each exactly."""
-        tables = []
-        for t in range(4):
-            vals = (rng.geometric(0.3 + 0.1 * t, 6000).astype(np.int64) - 1)
-            tables.append(table_from_code(build_code(vals)))
-        for a, b in zip(tables[:-1], tables[1:]):
-            delta = table_delta(a, b)
-            rebuilt = apply_table_delta(a, delta)
-            ca, cb = code_from_table(rebuilt), code_from_table(b)
-            assert ca.lengths == cb.lengths and ca.codes == cb.codes
-        # chain: apply all deltas from the first table
-        cur = tables[0]
-        for nxt in tables[1:]:
-            cur = apply_table_delta(cur, table_delta(cur, nxt))
-        c_end, c_ref = code_from_table(cur), code_from_table(tables[-1])
-        assert c_end.lengths == c_ref.lengths
+def _strip_table(header: dict, i: int) -> dict:
+    """Copy of a segmented header whose segment ``i`` lost its book."""
+    segs = [dict(sh) for sh in header["segments"]]
+    del segs[i]["table"]
+    return {**header, "segments": segs}
 
-    def test_stream_reuses_and_deltas_codebooks(self, rng):
-        """A slowly-varying 3+ step stream emits refs, decodes exactly."""
-        sizes = [400, 30000]
-        base = np.concatenate(
-            [rng.integers(-6, 7, s).astype(np.int64) for s in sizes]
-        )
-        steps = [base.copy() for _ in range(5)]
-        for t, b in enumerate(steps[1:], start=1):
-            # sparse drift: a few positions change value
-            idx = rng.integers(0, b.size, 50)
-            b[idx] += rng.integers(-1, 2, 50)
-        scratch, dec = {}, {}
-        kinds = []
-        for t, bins in enumerate(steps):
-            p, h = encode_classes(
-                bins, sizes, backend="huffman", scratch=scratch, refresh=(t == 0)
-            )
-            flat, _ = decode_classes(p, h, scratch=dec)
-            np.testing.assert_array_equal(flat, bins, err_msg=str(t))
-            kinds.append(
-                ["ref" if "table_ref" in s else "full" for s in h["segments"]]
-            )
-        # after the first step the dominant class reuses its book
-        assert any("ref" in k for k in kinds[1:])
 
-    def test_unresolvable_ref_raises(self, rng):
-        sizes = [2000]
-        bins = rng.integers(-5, 6, 2000).astype(np.int64)
-        scratch = {}
-        encode_classes(bins, sizes, backend="huffman", scratch=scratch, refresh=True)
-        p, h = encode_classes(bins, sizes, backend="huffman", scratch=scratch)
-        if any("table_ref" in s for s in h["segments"]):
-            with pytest.raises(ValueError, match="key frame|table"):
-                decode_classes(p, h)  # no scratch: chain unknown
-
-    def test_materialize_makes_header_standalone(self, rng):
-        sizes = [2000]
-        bins = rng.integers(-5, 6, 2000).astype(np.int64)
-        scratch, dec = {}, {}
-        p0, h0 = encode_classes(bins, sizes, backend="huffman", scratch=scratch,
-                                refresh=True)
-        decode_classes(p0, h0, scratch=dec)
-        p, h = encode_classes(bins, sizes, backend="huffman", scratch=scratch)
-        assert any("table_ref" in s for s in h["segments"])
-        solid = materialize_classes_header(h, dec)
-        assert all("table_ref" not in s for s in solid["segments"])
-        flat, _ = decode_classes(p, solid)  # decodes without any context
+class TestSelfContainedSegments:
+    def test_segment_without_table_raises(self, rng):
+        sizes = [300, 2000]
+        bins = rng.integers(-5, 6, sum(sizes)).astype(np.int64)
+        payload, header = encode_classes(bins, sizes, backend="huffman")
+        flat, _ = decode_classes(payload, header)  # intact: decodes alone
         np.testing.assert_array_equal(flat, bins)
+        for i in range(len(sizes)):
+            with pytest.raises(ValueError, match="code-book table"):
+                decode_classes(payload, _strip_table(header, i))
 
-    def test_encoder_scratch_materializes_its_own_blobs(self, rng, tmp_path):
-        """save_compressed resolves refs against the producing scratch."""
-        from repro.compress.fileio import load_compressed, save_compressed
-
+    def test_saved_blob_without_table_raises_on_decompress(self, rng):
         shape = (17, 17)
         data = rng.standard_normal(shape).cumsum(0).cumsum(1)
         comp = MgardCompressor.for_shape(shape, 1e-3, backend="huffman")
-        scratch = {}
-        comp.compress(data, scratch=scratch, refresh_codebooks=True)
-        blob = comp.compress(data, scratch=scratch)
-        assert any(
-            "table_ref" in s for s in blob.headers[0]["segments"]
-        )
-        save_compressed(tmp_path / "b.mgz", blob, scratch=scratch)
-        loaded, hier = load_compressed(tmp_path / "b.mgz")
-        out = MgardCompressor(hier, 1e-3, backend="huffman").decompress(loaded)
-        assert np.abs(out - data).max() <= 1e-3
-
-    def test_compress_only_producer_can_materialize_delta_blobs(self, rng, tmp_path):
-        """A producer that never decodes its own stream still saves
-        self-contained files, even for drift-rebuild (delta) blobs."""
-        from repro.compress.fileio import load_compressed, save_compressed
-
-        shape = (17, 17)
-        base = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor.for_shape(shape, 1e-4, backend="huffman")
-        scratch = {}
-        blobs = []
-        frames = []
-        for t in range(6):
-            # drift hard enough to force delta rebuilds
-            frame = base + rng.standard_normal(shape).cumsum(0) * 0.05 * t
-            frames.append(frame)
-            blobs.append(
-                comp.compress(frame, scratch=scratch, refresh_codebooks=(t == 0))
-            )
-        kinds = {
-            k
-            for b in blobs
-            for s in b.headers[0]["segments"]
-            for k in (("delta",) if "table_delta" in s
-                      else ("ref",) if "table_ref" in s else ())
-        }
-        for t, b in enumerate(blobs):
-            save_compressed(tmp_path / f"{t}.mgz", b, scratch=scratch)
-            loaded, hier = load_compressed(tmp_path / f"{t}.mgz")
-            out = MgardCompressor(hier, 1e-4, backend="huffman").decompress(loaded)
-            assert np.abs(out - frames[t]).max() <= 1e-4, (t, kinds)
-
-    def test_decode_chain_caches_are_pruned(self, rng):
-        """Long streams must not grow the decode caches without bound."""
-        sizes = [3000]
-        scratch, dec = {}, {}
-        for t in range(40):
-            # force a rebuild every step: fresh disjoint alphabets
-            bins = (rng.integers(0, 50, 3000) + 100 * t).astype(np.int64)
-            p, h = encode_classes(
-                bins, sizes, backend="huffman", scratch=scratch, refresh=(t == 0)
-            )
-            flat, _ = decode_classes(p, h, scratch=dec)
-            np.testing.assert_array_equal(flat, bins)
-        from repro.compress.lossless import _TABLE_CHAIN_WINDOW
-
-        assert len(dec.get("decode_tables", {})) <= _TABLE_CHAIN_WINDOW
-        assert len(dec.get("decode_table_objs", {})) <= _TABLE_CHAIN_WINDOW
-
-    def test_untagged_compressors_do_not_share_plan_scratch(self, rng):
-        from repro.compress.plan import compression_plan
-
-        hier = hierarchy_for((17, 17))
-        before = dict(compression_plan((17, 17), 1e-3, backend="huffman").scratch)
-        a = TimeSeriesCompressor(hier, 1e-3, backend="huffman")
-        b = TimeSeriesCompressor(hier, 1e-3, backend="huffman")
-        assert a._scratch is not b._scratch
-        plan = compression_plan((17, 17), 1e-3, backend="huffman")
-        assert dict(plan.scratch) == before  # nothing leaked into the plan
-
-    def test_timeseries_reuse_beats_rebuild_on_bytes(self, rng):
-        shape = (33, 33)
-        base = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        drift = rng.standard_normal(shape).cumsum(1) * 0.01
-        frames = [base + t * drift for t in range(8)]
-        tol = 1e-3 * float(base.max() - base.min())
-        hier = hierarchy_for(shape)
-        reused = TimeSeriesCompressor(
-            hier, tol, backend="huffman", reuse_codebooks=True
-        ).compress(frames)
-        rebuilt = TimeSeriesCompressor(
-            hier, tol, backend="huffman", reuse_codebooks=False
-        ).compress(frames)
-        assert reused.nbytes < rebuilt.nbytes
-        tsd = TimeSeriesCompressor(hier, tol, backend="huffman")
-        for orig, rec in zip(frames, tsd.decompress(reused)):
-            assert np.abs(rec - orig).max() <= tol
+        blob = comp.compress(data)
+        segs = blob.headers[0]["segments"]
+        biggest = max(range(len(segs)), key=lambda i: segs[i]["n"])
+        blob.headers = [_strip_table(blob.headers[0], biggest)]
+        buf = io.BytesIO()
+        save_compressed(buf, blob)
+        loaded, hier = load_compressed(buf.getvalue())
+        with pytest.raises(ValueError, match="code-book table"):
+            MgardCompressor(hier, 1e-3, backend="huffman").decompress(loaded)
 
 
 class TestStreamBehindProducer:
@@ -413,29 +239,6 @@ class TestStreamBehindProducer:
         with pytest.raises(StreamError):
             StepStreamWriter(tmp_path, base.shape)  # mode mismatch
 
-    def test_reader_survives_producer_restart_id_collision(self, rng):
-        """A restarted producer re-numbers table ids from 0; a reader
-        that kept its scratch must not decode with the stale books."""
-        sizes = [3000]
-        dec = {}
-        first = rng.integers(-5, 6, 3000).astype(np.int64)
-        scratch_a = {}
-        p, h = encode_classes(first, sizes, backend="huffman",
-                              scratch=scratch_a, refresh=True)
-        np.testing.assert_array_equal(decode_classes(p, h, scratch=dec)[0], first)
-        # "restart": a fresh encoder scratch restarts ids at 0 with a
-        # completely different alphabet
-        second = (rng.integers(0, 50, 3000) + 1000).astype(np.int64)
-        scratch_b = {}
-        p2, h2 = encode_classes(second, sizes, backend="huffman",
-                                scratch=scratch_b, refresh=True)
-        flat, _ = decode_classes(p2, h2, scratch=dec)  # same reader scratch
-        np.testing.assert_array_equal(flat, second)
-        # and references into the new chain resolve with the new book
-        p3, h3 = encode_classes(second, sizes, backend="huffman", scratch=scratch_b)
-        flat3, _ = decode_classes(p3, h3, scratch=dec)
-        np.testing.assert_array_equal(flat3, second)
-
     def test_writer_reopen_rejects_changed_settings(self, rng, tmp_path):
         frames, base = self._frames(rng, 2)
         tol = 1e-3 * float(np.abs(base).max())
@@ -461,60 +264,6 @@ class TestStreamBehindProducer:
         reader = StepStreamReader(tmp_path)
         for t in range(3):
             assert np.abs(reader.read_step(t) - frames[t]).max() <= tol
-
-
-class TestBackwardCompatibility:
-    """Blobs in the pre-segmentation layout must still decode."""
-
-    def _legacy_encode_classes(self, bins, sizes, backend):
-        """The container layout exactly as written before this refactor."""
-        bins = np.ascontiguousarray(bins, dtype=np.int64).ravel()
-        if backend == "zlib":
-            bounds = np.cumsum([0] + sizes)
-            parts, dtypes = [], []
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                seg = bins[a:b]
-                dt = _narrow_dtype(seg)
-                parts.append(seg.astype(dt).tobytes())
-                dtypes.append(dt.str)
-            payload = zlib.compress(b"".join(parts), 6)
-            header = {
-                "backend": "zlib",
-                "dtypes": dtypes,
-                "n": int(bins.size),
-                "class_sizes": sizes,
-            }
-            return payload, header
-        payload, header = huffman_encode(bins)
-        header["backend"] = "huffman"
-        header["class_sizes"] = sizes
-        return payload, header
-
-    @pytest.mark.parametrize("backend", ["zlib", "huffman"])
-    def test_legacy_blob_fixture_decodes(self, rng, backend):
-        sizes = [9, 100, 0, 1, 2048]
-        bins = rng.integers(-300, 300, sum(sizes)).astype(np.int64)
-        payload, header = self._legacy_encode_classes(bins, sizes, backend)
-        assert "segments" not in header  # genuinely the old layout
-        # survive a JSON round trip, like a blob loaded from disk
-        header = json.loads(json.dumps(header))
-        flat, got = decode_classes(payload, header)
-        assert got == sizes
-        np.testing.assert_array_equal(flat, bins)
-
-    def test_legacy_blob_through_compressor(self, rng):
-        """A CompressedData carrying a legacy header decompresses."""
-        shape = (17, 17)
-        data = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor.for_shape(shape, 1e-3, backend="zlib")
-        blob = comp.compress(data)
-        bins, got = decode_classes(blob.payloads[0], blob.headers[0])
-        legacy_payload, legacy_header = self._legacy_encode_classes(
-            bins, got, "zlib"
-        )
-        blob.payloads = [legacy_payload]
-        blob.headers = [json.loads(json.dumps(legacy_header))]
-        assert np.abs(comp.decompress(blob) - data).max() <= 1e-3
 
 
 class TestRunPipeline:

@@ -3,8 +3,7 @@
 Contracts:
 
 * all three executor backends (serial / thread / process) produce
-  byte-identical containers, on adversarial class mixes and across
-  code-book-reusing stream chains;
+  byte-identical containers on adversarial class mixes;
 * the zlib backend's sub-block segmentation round-trips, parallelizes
   through every backend, and keeps decoding legacy single-unit blobs;
 * the process backend degrades safely (closures run inline, broken
@@ -148,33 +147,6 @@ class TestThreeBackendBitIdentity:
                 flat, got = decode_classes(payload, header, executor=ex)
                 assert got == [int(s) for s in sizes], (name, backend, tag)
                 np.testing.assert_array_equal(flat, bins, err_msg=f"{name}/{tag}")
-
-    def test_codebook_chains_are_backend_independent(self, rng):
-        """Reusing streams emit identical ref/delta chains everywhere."""
-        sizes = [60, 4000, 30000]
-        steps = [
-            np.concatenate(
-                [rng.integers(-3 - t, 4 + t, s).astype(np.int64) for s in sizes]
-            )
-            for t in range(4)
-        ]
-        scratches = {tag: {} for tag in _executors()}
-        decodes = {tag: {} for tag in _executors()}
-        saw_ref = False
-        for t, bins in enumerate(steps):
-            blobs = {}
-            for tag, ex in _executors().items():
-                blobs[tag] = encode_classes(
-                    bins, sizes, backend="huffman",
-                    scratch=scratches[tag], refresh=(t == 0), executor=ex,
-                )
-            assert blobs["serial"] == blobs["thread"] == blobs["process"], t
-            p, h = blobs["serial"]
-            saw_ref = saw_ref or any("table_ref" in s for s in h["segments"])
-            for tag, ex in _executors().items():
-                flat, _ = decode_classes(p, h, executor=ex, scratch=decodes[tag])
-                np.testing.assert_array_equal(flat, bins, err_msg=f"{t}/{tag}")
-        assert saw_ref, "the chain never reused a book; test is vacuous"
 
     def test_compressor_containers_identical(self, rng):
         shape = (33, 33)
